@@ -9,7 +9,7 @@
 // workload the shared token arena (util::SharedInterner) and the shared
 // signature forest (logproc::SharedSignatureForest, cross-vPE template
 // dedup with copy-on-write divergence) exist for. This bench measures,
-// per {vpes, sharing tier, quantize, stagger} configuration:
+// per {vpes, sharing tier, quantize} configuration:
 //   - sustained lines/sec over the submit -> flush soak window,
 //   - bytes/vPE from the runtime's fleet memory stats (arena + forest
 //     counted once + per-shard tree bytes) across the three sharing
@@ -17,9 +17,7 @@
 //     per-row breakdown (per-vPE tree bytes vs amortized shared bytes
 //     vs amortized model bytes). All tiers' rows land in the JSON,
 //   - warning latency p50/p99/p999 (ingest -> scored, µs) from the
-//     runtime's per-shard histograms, with and without the staggered
-//     per-worker flush deadlines (the stagger-off row pins the tail
-//     cost of the whole fleet hitting its deadline in phase),
+//     runtime's per-shard histograms,
 //   - model bytes (fp32 vs --quantize int8 sidecar from the quant tier).
 // and proves determinism at scale: per-vPE warning streams are compared
 // byte-for-byte against a serial StreamMonitor replay at the FULL vPE
@@ -203,12 +201,11 @@ struct SoakResult {
 /// read the epoch-consistent stats cut, stop, drain.
 SoakResult run_soak(const Workload& w, const core::AnomalyDetector& detector,
                     std::size_t vpes, std::size_t lines_per_vpe,
-                    std::size_t workers, Sharing sharing, bool stagger) {
+                    std::size_t workers, Sharing sharing) {
   core::AsyncIngestConfig config;
   config.workers = workers;
   config.flush_batch = 64;
   config.flush_deadline = std::chrono::microseconds(2000);
-  config.stagger_flush = stagger;
   config.single_producer = true;
   config.share_token_arena = sharing != Sharing::kPrivate;
   config.share_template_forest = sharing == Sharing::kForest;
@@ -300,7 +297,6 @@ struct Row {
   std::size_t lines_per_vpe = 0;
   std::size_t workers = 0;
   Sharing sharing = Sharing::kPrivate;
-  bool stagger = true;
   bool quantize = false;
   bool parity_checked = false;
   SoakResult result;
@@ -335,7 +331,6 @@ void write_row(util::JsonWriter& w, const Row& row) {
   w.kv("total_lines", row.result.total_lines);
   w.kv("workers", row.workers);
   w.kv("sharing", sharing_name(row.sharing));
-  w.kv("stagger_flush", row.stagger);
   w.kv("quantize", row.quantize);
   w.kv("lines_per_sec", row.result.lines_per_sec);
   w.kv("bytes_per_vpe", row.result.memory.bytes_per_vpe);
@@ -363,7 +358,7 @@ void write_row(util::JsonWriter& w, const Row& row) {
 void log_row(const Row& row) {
   std::cerr << "vpes=" << row.vpes << " sharing=" << sharing_name(row.sharing)
             << (row.quantize ? " quantized" : "")
-            << (row.stagger ? "" : " stagger=off") << " workers="
+            << " workers="
             << row.workers << ": " << row.result.lines_per_sec << " lines/s, "
             << row.result.memory.bytes_per_vpe << " bytes/vPE ("
             << tree_bytes_per_vpe(row) << " tree + "
@@ -390,7 +385,7 @@ int run_smoke() {
   SoakResult forest1;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
     SoakResult r =
-        run_soak(w, w.detector, kVpes, kLines, workers, Sharing::kForest, true);
+        run_soak(w, w.detector, kVpes, kLines, workers, Sharing::kForest);
     if (!same_warnings(serial, r.merged,
                        "arena+forest workers=" + std::to_string(workers))) {
       return 1;
@@ -398,12 +393,12 @@ int run_smoke() {
     if (workers == 1) forest1 = std::move(r);
   }
   const SoakResult arena1 =
-      run_soak(w, w.detector, kVpes, kLines, 1, Sharing::kArena, true);
+      run_soak(w, w.detector, kVpes, kLines, 1, Sharing::kArena);
   if (!same_warnings(serial, arena1.merged, "shared arena workers=1")) {
     return 1;
   }
   const SoakResult priv =
-      run_soak(w, w.detector, kVpes, kLines, 1, Sharing::kPrivate, true);
+      run_soak(w, w.detector, kVpes, kLines, 1, Sharing::kPrivate);
   if (!same_warnings(serial, priv.merged, "private workers=1")) {
     return 1;
   }
@@ -465,7 +460,7 @@ int run_json_mode(const std::string& path, std::size_t vpes_override) {
     }
 
     const auto add_row = [&](std::size_t workers, Sharing sharing,
-                             bool stagger, bool quantize) {
+                             bool quantize) {
       const core::AnomalyDetector& det =
           quantize ? static_cast<const core::AnomalyDetector&>(
                          w.detector_quantized)
@@ -475,37 +470,30 @@ int run_json_mode(const std::string& path, std::size_t vpes_override) {
       row.lines_per_vpe = scale.lines_per_vpe;
       row.workers = workers;
       row.sharing = sharing;
-      row.stagger = stagger;
       row.quantize = quantize;
       row.result = run_soak(w, det, scale.vpes, scale.lines_per_vpe, workers,
-                            sharing, stagger);
+                            sharing);
       // Quantized scoring legitimately shifts scores; parity is pinned on
       // the fp32 rows (the quant tier has its own rank-agreement gate).
-      // Stagger rows ARE parity-checked: flush phase can never move a
-      // warning, only its latency.
       if (!quantize) {
         row.parity_checked = true;
         parity_ok =
             same_warnings(serial, row.result.merged,
                           "vpes=" + std::to_string(scale.vpes) + " sharing=" +
                               sharing_name(sharing) +
-                              " workers=" + std::to_string(workers) +
-                              (stagger ? "" : " stagger=off")) &&
+                              " workers=" + std::to_string(workers)) &&
             parity_ok;
       }
       log_row(row);
       rows.push_back(std::move(row));
     };
 
-    add_row(1, Sharing::kPrivate, true, false);  // pre-sharing baseline
-    add_row(1, Sharing::kArena, true, false);    // token arena only
-    add_row(1, Sharing::kForest, true, false);   // arena + template forest
-    add_row(4, Sharing::kForest, true, false);   // forest, multi-worker
-    // Stagger-off twin of the multi-worker forest row: same work, flush
-    // deadlines all in phase — the p99/p999 delta is the stagger win.
-    add_row(4, Sharing::kForest, false, false);
+    add_row(1, Sharing::kPrivate, false);  // pre-sharing baseline
+    add_row(1, Sharing::kArena, false);    // token arena only
+    add_row(1, Sharing::kForest, false);   // arena + template forest
+    add_row(4, Sharing::kForest, false);   // forest, multi-worker
     // The full stack: int8 scoring over the shared arena + forest.
-    add_row(1, Sharing::kForest, true, true);
+    add_row(1, Sharing::kForest, true);
   }
   if (!parity_ok) return 1;
 
@@ -515,8 +503,7 @@ int run_json_mode(const std::string& path, std::size_t vpes_override) {
   for (const Scale scale : scales) {
     double forest_bpv = -1.0, arena_bpv = -1.0, private_bpv = -1.0;
     for (const Row& row : rows) {
-      if (row.vpes != scale.vpes || row.quantize || row.workers != 1 ||
-          !row.stagger) {
+      if (row.vpes != scale.vpes || row.quantize || row.workers != 1) {
         continue;
       }
       switch (row.sharing) {

@@ -525,20 +525,6 @@ RuntimeStatsSnapshot AsyncIngest::snapshot() const {
 void AsyncIngest::worker_loop(std::size_t index) {
   Worker& worker = *workers_[index];
   const bool instrument = config_.instrument;
-  // Staggered flush deadline: a deterministic per-worker phase offset
-  // (worker w waits deadline * (1 + w/workers)) decorrelates the
-  // workers' deadline flushes — without it every worker's micro-batch
-  // ripens in lockstep and the aligned flush bursts drive the p99/p999
-  // queue-residency cliff at high shard counts under one core. The
-  // deadline never affects scores or warnings, so neither does this.
-  const std::chrono::microseconds flush_deadline =
-      config_.stagger_flush && worker_count_ > 1 &&
-              config_.flush_deadline.count() > 0
-          ? config_.flush_deadline +
-                (config_.flush_deadline *
-                 static_cast<std::int64_t>(index)) /
-                    static_cast<std::int64_t>(worker_count_)
-          : config_.flush_deadline;
 
   // Per-worker micro-batching group over this worker's shards only.
   const AnomalyDetector* detector = detector_.load(std::memory_order_acquire);
@@ -565,10 +551,11 @@ void AsyncIngest::worker_loop(std::size_t index) {
   // the group's local id (plain memory: no atomics on the hot path).
   struct LocalShard {
     Shard* shard = nullptr;
+    bool paused = false;
+    bool stats_dirty = false;    // listed in dirty_stats
+    bool latency_dirty = false;  // listed in dirty_latency
     LatencyHistogram latency;
     std::vector<Item> hold;  // parked lines of a paused shard, in order
-    bool paused = false;
-    bool latency_dirty = false;
   };
   std::vector<LocalShard> locals(worker.shard_ids.size());
   for (std::size_t i = 0; i < worker.shard_ids.size(); ++i) {
@@ -579,32 +566,57 @@ void AsyncIngest::worker_loop(std::size_t index) {
     locals[i].shard = shards_[s].get();
   }
 
-  std::size_t staged = 0;
+  // Local ids whose published slots are stale: counters/gauges, and
+  // latency histograms. A publish copies only the listed shards, so its
+  // cost follows the shards touched since the last publish, never the
+  // shards this worker owns. The per-shard flags keep each id listed once.
+  std::vector<std::size_t> dirty_stats;
+  std::vector<std::size_t> dirty_latency;
+  dirty_stats.reserve(locals.size());
+  dirty_latency.reserve(locals.size());
+  const auto mark_stats = [&](std::size_t local) {
+    LocalShard& ls = locals[local];
+    if (ls.stats_dirty) return;
+    ls.stats_dirty = true;
+    dirty_stats.push_back(local);
+  };
+  const auto mark_latency = [&](std::size_t local) {
+    LocalShard& ls = locals[local];
+    if (ls.latency_dirty) return;
+    ls.latency_dirty = true;
+    dirty_latency.push_back(local);
+  };
+  // Whole-fleet republish, for state that can change outside the worker's
+  // view: the first publish, trees re-primed through mutable_tree() while
+  // quiesced, and the final cut on exit.
+  const auto mark_all_stats = [&] {
+    for (std::size_t i = 0; i < locals.size(); ++i) mark_stats(i);
+  };
+  mark_all_stats();
+
   // (local id, submit stamp) of each staged line; latencies are recorded
   // against one clock read taken right after the batch is scored.
-  std::vector<std::pair<std::size_t, std::uint64_t>> staged_meta;
+  std::vector<std::pair<std::size_t, std::uint64_t>> staged;
   std::uint64_t lines_local = 0;
   std::uint64_t flushes_local = 0;
   std::uint64_t epoch_local = 0;
   bool holds_dirty = false;  // held-lines gauge changed since last publish
-  // Copying every dirty 48-bucket histogram into its shared slots is the
-  // one publish step whose cost scales with shard count (≈6 cache lines of
-  // stores per shard), and doing it every flush is what blows the <=2%
-  // instrumentation budget. Counters and gauges still publish per flush;
-  // histograms ride along only every kLatencyPublishEvery flushes — and
-  // always at quiescent points (barrier, commands, idle, exit), so a
-  // flush()-then-snapshot() reader still sees exact bucket counts.
+  // A histogram copy is ≈6 cache lines of stores per shard against one
+  // for the counters, so histograms do not ride along on every flush:
+  // counters and gauges publish per flush, histograms only every
+  // kLatencyPublishEvery flushes — and always at quiescent points
+  // (barrier, commands, idle, exit), so a flush()-then-snapshot() reader
+  // still sees exact bucket counts.
   constexpr std::uint64_t kLatencyPublishEvery = 16;
   std::uint64_t flushes_since_latency_pub = 0;
-  bool latency_lagging = false;  // skipped dirty histograms at last publish
   Clock::time_point batch_start{};
   std::uint64_t seen_epoch = 0;
   unsigned idle_round = 0;
 
-  // Seqlock publish of this worker's cut: counters and gauges always,
-  // histograms only when forced or on the amortized cadence (and then only
-  // for shards that recorded since their last copy). A lagging histogram
-  // only ever under-counts, so the snapshot invariant
+  // Seqlock publish of this worker's cut: the listed shards' counters and
+  // gauges always, their histograms only when forced or on the amortized
+  // cadence. A lagging histogram only ever under-counts, and its shard's
+  // counters were published when it recorded, so the snapshot invariant
   // latency.total() <= lines survives the deferral.
   const auto publish_stats = [&](bool force_latency) {
     const bool publish_latency =
@@ -616,7 +628,8 @@ void AsyncIngest::worker_loop(std::size_t index) {
     worker.stat_epoch.store(epoch_local, std::memory_order_relaxed);
     worker.stat_lines.store(lines_local, std::memory_order_relaxed);
     worker.stat_flushes.store(flushes_local, std::memory_order_relaxed);
-    for (LocalShard& ls : locals) {
+    for (const std::size_t local : dirty_stats) {
+      LocalShard& ls = locals[local];
       ls.shard->pub_paused.store(ls.paused, std::memory_order_relaxed);
       ls.shard->pub_lines.store(ls.shard->monitor->lines_ingested(),
                                 std::memory_order_relaxed);
@@ -625,7 +638,12 @@ void AsyncIngest::worker_loop(std::size_t index) {
       ls.shard->pub_held.store(ls.hold.size(), std::memory_order_relaxed);
       ls.shard->pub_tree_bytes.store(ls.shard->tree->memory_bytes(),
                                      std::memory_order_relaxed);
-      if (ls.latency_dirty && publish_latency) {
+      ls.stats_dirty = false;
+    }
+    dirty_stats.clear();
+    if (publish_latency) {
+      for (const std::size_t local : dirty_latency) {
+        LocalShard& ls = locals[local];
         const auto& buckets = ls.latency.buckets();
         for (std::size_t i = 0; i < buckets.size(); ++i) {
           ls.shard->pub_latency[i].store(buckets[i],
@@ -633,64 +651,61 @@ void AsyncIngest::worker_loop(std::size_t index) {
         }
         ls.latency_dirty = false;
       }
+      dirty_latency.clear();
+      flushes_since_latency_pub = 0;
     }
     worker.stat_seq.store(seq + 2, std::memory_order_release);
     holds_dirty = false;
-    if (publish_latency) {
-      flushes_since_latency_pub = 0;
-      latency_lagging = false;
-    } else {
-      for (const LocalShard& ls : locals) {
-        if (ls.latency_dirty) {
-          latency_lagging = true;
-          break;
-        }
-      }
-    }
   };
 
   const auto flush_group = [&] {
-    if (staged == 0) return;
+    if (staged.empty()) return;
     group.flush();
     flushes_.fetch_add(1, std::memory_order_relaxed);
-    lines_scored_.fetch_add(staged, std::memory_order_relaxed);
+    lines_scored_.fetch_add(staged.size(), std::memory_order_relaxed);
     ++flushes_local;
-    if (instrument) {
-      const std::uint64_t scored = now_ns();
-      for (const auto& [local, submitted] : staged_meta) {
+    const std::uint64_t scored = instrument ? now_ns() : 0;
+    for (const auto& [local, submitted] : staged) {
+      // Scoring raises warnings, and a publish since staging (commands,
+      // idle) may already have taken this shard off the list.
+      mark_stats(local);
+      if (instrument) {
         locals[local].latency.record(scored > submitted ? scored - submitted
                                                         : 0);
-        locals[local].latency_dirty = true;
+        mark_latency(local);
       }
     }
-    staged_meta.clear();
-    staged = 0;
+    staged.clear();
     publish_stats(false);
   };
 
   const auto process_item = [&](Item&& item) {
-    if (staged == 0) batch_start = Clock::now();
+    if (staged.empty()) batch_start = Clock::now();
     const std::size_t local = local_of_shard[item.shard];
-    if (instrument) staged_meta.emplace_back(local, item.enqueue_ns);
+    staged.emplace_back(local, item.enqueue_ns);
+    mark_stats(local);  // staging counts the line and may grow the tree
     ++lines_local;
     if (item.raw) {
       group.ingest(local, item.log.time, item.line);
     } else {
       group.ingest_parsed(local, item.log);
     }
-    ++staged;
-    if (staged >= config_.flush_batch) flush_group();
+    if (staged.size() >= config_.flush_batch) flush_group();
   };
 
   // Drain the command mailbox at a micro-batch boundary. The staged batch
   // is flushed first so a pause/resume never splits one, and the pending
   // gauge only drops AFTER each command's effect (including hold-buffer
-  // replay) is complete — that is what wait_commands() certifies.
+  // replay) is complete and published — that is what wait_commands()
+  // certifies, so shard_paused() right after it reads the applied state.
   const auto apply_commands = [&] {
     flush_group();
     ShardCommand cmd;
+    std::uint64_t applied = 0;
     while (worker.commands.try_pop(cmd)) {
-      LocalShard& ls = locals[local_of_shard[cmd.shard]];
+      const std::size_t local = local_of_shard[cmd.shard];
+      LocalShard& ls = locals[local];
+      mark_stats(local);
       if (cmd.kind == ShardCommand::Kind::kPause) {
         ls.paused = true;
       } else if (ls.paused) {
@@ -701,9 +716,10 @@ void AsyncIngest::worker_loop(std::size_t index) {
         ls.hold.clear();
         for (Item& held : hold) process_item(std::move(held));
       }
-      worker.commands_pending.fetch_sub(1, std::memory_order_release);
+      ++applied;
     }
     publish_stats(true);
+    worker.commands_pending.fetch_sub(applied, std::memory_order_release);
   };
 
   for (;;) {
@@ -712,12 +728,21 @@ void AsyncIngest::worker_loop(std::size_t index) {
       continue;
     }
 
+    // Read the barrier request BEFORE polling the queue: the caller pushes
+    // its lines before it requests the barrier, so once this acquire sees
+    // the request the poll below sees every line submitted ahead of it.
+    // Read after a failed poll, the worker could park with the caller's
+    // last line still queued and flush() would return without it.
+    const std::uint64_t requested =
+        epoch_requested_.load(std::memory_order_acquire);
     Item item;
     if (worker.queue->try_pop(item)) {
       idle_round = 0;
-      LocalShard& ls = locals[local_of_shard[item.shard]];
+      const std::size_t local = local_of_shard[item.shard];
+      LocalShard& ls = locals[local];
       if (ls.paused) {
         ls.hold.push_back(std::move(item));
+        mark_stats(local);
         holds_dirty = true;
         continue;
       }
@@ -728,9 +753,9 @@ void AsyncIngest::worker_loop(std::size_t index) {
     // Queue momentarily empty: flush a ripe micro-batch (deadline 0 =
     // flush immediately for minimum latency; batching then only engages
     // under backlog).
-    if (staged > 0 &&
-        (flush_deadline.count() <= 0 ||
-         Clock::now() - batch_start >= flush_deadline)) {
+    if (!staged.empty() &&
+        (config_.flush_deadline.count() <= 0 ||
+         Clock::now() - batch_start >= config_.flush_deadline)) {
       flush_group();
       continue;
     }
@@ -739,8 +764,6 @@ void AsyncIngest::worker_loop(std::size_t index) {
     // wait for release, then refresh the detector (it may have been
     // swapped while parked). Held lines of paused shards stay held —
     // flush()'s guarantee covers lines that have reached a monitor.
-    const std::uint64_t requested =
-        epoch_requested_.load(std::memory_order_acquire);
     if (requested != seen_epoch) {
       flush_group();
       publish_stats(true);
@@ -754,6 +777,7 @@ void AsyncIngest::worker_loop(std::size_t index) {
                  closed_.load(std::memory_order_acquire);
         });
       }
+      mark_all_stats();
       const AnomalyDetector* current =
           detector_.load(std::memory_order_acquire);
       if (current != detector) {
@@ -778,11 +802,12 @@ void AsyncIngest::worker_loop(std::size_t index) {
       }
       while (worker.queue->try_pop(item)) process_item(std::move(item));
       flush_group();
+      mark_all_stats();
       publish_stats(true);
       return;
     }
 
-    if (holds_dirty || latency_lagging) {
+    if (holds_dirty || !dirty_latency.empty()) {
       // Idle with parked lines or deferred histogram buckets accumulated
       // since the last boundary: let snapshot readers catch up.
       publish_stats(true);

@@ -151,13 +151,6 @@ struct AsyncIngestConfig {
   /// line while the queue is idle (0 = flush whenever the queue is empty).
   /// Neither trigger affects scores or warnings, only latency/GEMM size.
   std::chrono::microseconds flush_deadline{2000};
-  /// Stagger each worker's flush deadline by a deterministic phase offset
-  /// (worker w waits flush_deadline * (1 + w/workers)), so at high shard
-  /// counts the workers' deadline flushes decorrelate instead of firing
-  /// in lockstep — the aligned bursts are what drove the p99/p999
-  /// queue-residency cliff at 10k shards under one core. Deadlines never
-  /// affect scores or warnings, so neither does the stagger.
-  bool stagger_flush = true;
   /// Bounded capacity of the warning queue. Overflowing warnings spill
   /// losslessly (and still in per-vPE order) into per-worker buffers, so
   /// an undrained caller never blocks or crashes the workers.
@@ -311,7 +304,8 @@ class AsyncIngest {
   void pause_shard(std::size_t shard);
   void resume_shard(std::size_t shard);
   /// Returns once every pause/resume command issued so far has been
-  /// applied by its worker. Control-plane thread only (a worker parked
+  /// applied by its worker and published (shard_paused() and snapshot()
+  /// already show it). Control-plane thread only (a worker parked
   /// inside a concurrent flush()/swap_detector() cannot apply commands).
   void wait_commands();
   /// Applied (not merely requested) pause state; any thread.

@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/async_ingest.h"
@@ -245,6 +249,217 @@ TEST(RuntimeStatsSnapshotTest, SameTraceSameFinalCountersForAnyWorkerCount) {
             << "workers=" << workers << " shard " << v;
       }
     }
+  }
+}
+
+// Workers publish only the shards a micro-batch touched. With shards far
+// beyond flush_batch and most of them idle, every state change must
+// still reach the snapshot: the primed tree bytes of never-touched shards,
+// lines and warnings of sparsely hit shards (including a warning raised
+// by a deadline flush), the paused flag and held gauge of an untouched
+// shard, the tree bytes of a shard re-primed while no traffic was in
+// flight, and the force-resume of a shard still paused at stop().
+TEST(RuntimeStatsSnapshotTest, SparseTouchPublishMatchesGroundTruth) {
+  constexpr std::size_t kShards = 1024;
+  constexpr std::size_t kHot = 8;
+  constexpr std::size_t kCold = 900;        // shards kHot.. take a sprinkle
+  constexpr std::size_t kActive = 3;        // hot shard paused mid-run
+  constexpr std::size_t kUntouched = 1000;  // paused, then resumed
+  constexpr std::size_t kReprimed = 1001;   // tree grows while quiesced
+  constexpr std::size_t kBurst = 1002;      // one late warning cluster
+  constexpr std::size_t kPausedAtStop = 1003;
+  StepDetector detector;
+  AsyncIngestConfig config;
+  config.workers = 2;
+  config.flush_batch = 8;
+  config.queue_capacity = 256;
+  AsyncIngest ingest(&detector, config);
+  StreamMonitorConfig monitor;
+  monitor.threshold = 10.0;
+  monitor.window = 4;
+  for (std::size_t v = 0; v < kShards; ++v) {
+    ingest.add_shard(static_cast<std::int32_t>(v), monitor);
+    ingest.mutable_tree(v).learn("boot complete on slot " + std::to_string(v));
+  }
+  ingest.start();
+
+  // Mid-run cuts from a reader thread: per-shard counters never go
+  // backwards and the histogram never runs ahead of the lines. (EXPECT
+  // only until it is joined: an ASSERT return would leave it joinable.)
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> cuts{0};
+  std::atomic<std::size_t> violations{0};
+  std::thread reader([&] {
+    std::vector<ShardStatsSnapshot> last(kShards);
+    while (!done.load(std::memory_order_acquire)) {
+      const RuntimeStatsSnapshot snap = ingest.snapshot();
+      for (std::size_t s = 0; s < kShards; ++s) {
+        const ShardStatsSnapshot& now = snap.shards[s];
+        if (now.lines < last[s].lines || now.warnings < last[s].warnings ||
+            now.tree_bytes < last[s].tree_bytes ||
+            now.latency.total() < last[s].latency.total() ||
+            now.latency.total() > now.lines) {
+          violations.fetch_add(1, std::memory_order_relaxed);
+        }
+        last[s] = now;
+      }
+      cuts.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  // Skewed traffic: a few hot shards carry nearly every line (parsed,
+  // with warning clusters; every 5th one raw so their trees mine), and a
+  // sparse sprinkle of single lines touches some of the cold shards.
+  std::vector<std::uint64_t> submitted(kShards, 0);
+  std::size_t step = 0;
+  const auto send = [&](std::size_t shard) {
+    const std::size_t i = submitted[shard]++;
+    if (shard < kHot && i % 5 == 4) {
+      ingest.submit(shard,
+                    nfv::util::SimTime{static_cast<std::int64_t>(i) * 30},
+                    "link flap on port " + std::to_string(shard) + " id " +
+                        std::to_string(i % 3));
+    } else {
+      ingest.submit_parsed(shard, trace_log(shard, i));
+    }
+  };
+  const auto traffic = [&](std::size_t lines) {
+    for (std::size_t n = 0; n < lines; ++n, ++step) {
+      send(step % kHot);
+      if (step % 13 == 0) send(kHot + (step * 37) % kCold);
+    }
+    // Let the reader land a cut while this phase may still be in flight.
+    const std::size_t seen = cuts.load(std::memory_order_relaxed);
+    while (cuts.load(std::memory_order_relaxed) == seen) {
+      std::this_thread::yield();
+    }
+  };
+
+  traffic(1200);
+  {
+    // Both workers have published many micro-batches by now, none of
+    // which touched these shards: their primed bytes came from the
+    // first publish alone. (No worker writes these trees; reading them
+    // here races nothing.)
+    const RuntimeStatsSnapshot snap = ingest.snapshot();
+    for (std::size_t s = kHot + kCold; s < kShards; ++s) {
+      EXPECT_GT(snap.shards[s].tree_bytes, 0u) << "shard " << s;
+      EXPECT_EQ(snap.shards[s].tree_bytes, ingest.tree(s).memory_bytes())
+          << "shard " << s;
+    }
+  }
+  // A pause alone (no parked lines yet) must show once it is applied.
+  ingest.pause_shard(kUntouched);
+  ingest.wait_commands();
+  EXPECT_TRUE(ingest.shard_paused(kUntouched));
+
+  ingest.flush();  // a pause parks queued lines too: drain them first
+  ingest.pause_shard(kActive);
+  ingest.wait_commands();
+  EXPECT_TRUE(ingest.shard_paused(kActive));
+  const std::uint64_t active_before = submitted[kActive];
+  traffic(400);
+  for (int n = 0; n < 5; ++n) send(kUntouched);
+  ingest.flush();
+  {
+    // Held lines are parked, not ingested: the gauges show them, the
+    // line counters do not.
+    const RuntimeStatsSnapshot snap = ingest.snapshot();
+    EXPECT_TRUE(snap.shards[kActive].paused);
+    EXPECT_TRUE(snap.shards[kUntouched].paused);
+    EXPECT_EQ(snap.shards[kActive].held, submitted[kActive] - active_before);
+    EXPECT_EQ(snap.shards[kUntouched].held, 5u);
+    EXPECT_EQ(snap.shards[kActive].lines, active_before);
+    EXPECT_EQ(snap.shards[kUntouched].lines, 0u);
+  }
+  ingest.resume_shard(kUntouched);
+  ingest.resume_shard(kActive);
+  ingest.wait_commands();
+  ingest.flush();
+
+  // Re-prime an idle shard's tree between barriers, then traffic that
+  // never touches it: only the epoch barrier can republish its bytes.
+  const std::size_t tree_before = ingest.tree(kReprimed).memory_bytes();
+  for (const char* line : {"bgp peer reset by neighbour", "fan tray missing",
+                           "power supply degraded"}) {
+    ingest.mutable_tree(kReprimed).learn(line);
+  }
+  EXPECT_GT(ingest.tree(kReprimed).memory_bytes(), tree_before);
+  traffic(800);
+
+  // One warning cluster that completes in a partial batch: the worker
+  // idles with it staged (publishing on the idle path while histograms
+  // lag), and the deadline flush that scores it raises the warning.
+  for (std::size_t i = 0; i < 22; ++i) send(kBurst);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ingest.flush();
+
+  std::vector<StreamWarning> drained;
+  ingest.drain_warnings(drained);
+  std::vector<std::uint64_t> warned(kShards, 0);
+  for (const StreamWarning& w : drained) {
+    ++warned[static_cast<std::size_t>(w.vpe)];
+  }
+  EXPECT_EQ(warned[kBurst], 1u);
+
+  const auto expect_ground_truth = [&](const RuntimeStatsSnapshot& snap,
+                                       const char* when) {
+    std::size_t touched = 0;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      const ShardStatsSnapshot& sh = snap.shards[s];
+      SCOPED_TRACE(std::string(when) + " shard " + std::to_string(s));
+      EXPECT_EQ(sh.lines, submitted[s]);
+      EXPECT_EQ(sh.warnings, warned[s]);
+      EXPECT_EQ(sh.held, 0u);
+      EXPECT_FALSE(sh.paused);
+      EXPECT_EQ(sh.tree_bytes, ingest.tree(s).memory_bytes());
+      EXPECT_EQ(sh.latency.total(), sh.lines);
+      if (submitted[s] > 0) ++touched;
+    }
+    EXPECT_LT(touched, kShards / 4) << "traffic is not sparse";
+    EXPECT_EQ(snap.totals.warnings_published, drained.size());
+  };
+  expect_ground_truth(ingest.snapshot(), "after flush");
+
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_GE(cuts.load(), 3u);
+  EXPECT_EQ(violations.load(), 0u);
+
+  // stop() force-resumes a shard still paused with nothing held.
+  ingest.pause_shard(kPausedAtStop);
+  ingest.wait_commands();
+  ingest.stop();
+  expect_ground_truth(ingest.snapshot(), "after stop");
+}
+
+// flush() must cover a line submitted immediately before it, even when
+// the owning worker is polling an empty queue at that moment. A worker
+// that read the barrier request after its failed poll could park with
+// that line still queued: before the barrier read moved ahead of the
+// poll, this loop missed a few lines per run on a 4-vCPU x86 VM.
+TEST(RuntimeStatsSnapshotTest, FlushCoversTheLineSubmittedJustBeforeIt) {
+  StepDetector detector;
+  for (const bool single_producer : {false, true}) {
+    AsyncIngestConfig config;
+    config.workers = 2;
+    config.single_producer = single_producer;
+    AsyncIngest ingest(&detector, config);
+    StreamMonitorConfig monitor;
+    monitor.window = 4;
+    for (std::size_t v = 0; v < 4; ++v) {
+      ingest.add_shard(static_cast<std::int32_t>(v), monitor);
+    }
+    ingest.start();
+    std::uint64_t missed = 0;
+    constexpr std::uint64_t kRounds = 20000;
+    for (std::uint64_t n = 1; n <= kRounds; ++n) {
+      ingest.submit_parsed(n % 4, trace_log(n % 4, n));
+      ingest.flush();
+      if (ingest.stats().lines_scored != n) ++missed;
+    }
+    ingest.stop();
+    EXPECT_EQ(missed, 0u) << "single_producer=" << single_producer;
   }
 }
 

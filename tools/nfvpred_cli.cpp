@@ -21,7 +21,9 @@
 //       signatures (clusters of >=2 anomalies within 2 minutes).
 //
 // Exit codes: 0 ok, 1 usage error, 2 runtime failure.
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -44,6 +46,15 @@ namespace {
 
 using namespace nfv;
 
+// A malformed number is a usage error, never a silent default.
+[[noreturn]] void reject_number(const std::string& key,
+                                const std::string& value,
+                                const char* expected) {
+  std::cerr << "error: --" << key << " expects " << expected << ", got '"
+            << value << "'\n";
+  std::exit(1);
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
@@ -63,11 +74,25 @@ struct Args {
   }
   long get_long(const std::string& key, long fallback) const {
     const auto value = get(key);
-    return value ? std::strtol(value->c_str(), nullptr, 10) : fallback;
+    if (!value) return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const long parsed = std::strtol(value->c_str(), &end, 10);
+    if (end == value->c_str() || *end != '\0' || errno == ERANGE) {
+      reject_number(key, *value, "an integer");
+    }
+    return parsed;
   }
   double get_double(const std::string& key, double fallback) const {
     const auto value = get(key);
-    return value ? std::strtod(value->c_str(), nullptr) : fallback;
+    if (!value) return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const double parsed = std::strtod(value->c_str(), &end);
+    if (end == value->c_str() || *end != '\0' || errno == ERANGE) {
+      reject_number(key, *value, "a number");
+    }
+    return parsed;
   }
 };
 
@@ -157,9 +182,15 @@ std::vector<RawLine> read_log_file(const std::string& path) {
       std::cerr << "warning: line " << lineno << " has no message; skipped\n";
       continue;
     }
+    const std::string stamp(trimmed.substr(0, space));
     char* end = nullptr;
-    const long long ts =
-        std::strtoll(std::string(trimmed.substr(0, space)).c_str(), &end, 10);
+    errno = 0;
+    const long long ts = std::strtoll(stamp.c_str(), &end, 10);
+    if (end == stamp.c_str() || *end != '\0' || errno == ERANGE) {
+      std::cerr << "error: " << path << ":" << lineno << ": timestamp '"
+                << stamp << "' is not an integer\n";
+      std::exit(2);
+    }
     lines.push_back(
         {util::SimTime{ts}, std::string(util::trim(trimmed.substr(space)))});
   }

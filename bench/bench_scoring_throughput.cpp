@@ -17,9 +17,12 @@
 // for the rank-agreement gate checked by `--smoke` below.
 //
 // Run with `--json FILE` to skip google-benchmark and emit a
-// machine-readable summary (windows/sec and speedups at 1 and 4 threads),
-// e.g. BENCH_scoring.json; add `--quantize` to include the int8 rows and
-// the fp32-vs-int8 model weight bytes.
+// machine-readable summary, e.g. BENCH_scoring.json: for each model shape
+// (hidden 128 / window 10, the inference-heavy sizing, and hidden 16 /
+// window 4, the live fleet workloads' model) and 1 and 4 threads, the min
+// and median wall time over the repeats of each regime, the windows/sec
+// they give, and the core count. Add `--quantize` to include the int8 rows
+// and the fp32-vs-int8 model weight bytes.
 //
 // Run with `--smoke` for the CI gate: trains a small model on a
 // *patterned* corpus (cyclic template sequence + 10% noise, so the
@@ -32,11 +35,13 @@
 // Exit code is non-zero if any gate fails.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_json.h"
@@ -78,33 +83,36 @@ struct Fixture {
   std::size_t total_windows = 0;
 };
 
+Fixture make_fixture(std::size_t hidden, std::size_t window) {
+  Fixture fx;
+  core::LstmDetectorConfig config;
+  config.initial_epochs = 1;
+  config.oversample = false;
+  config.hidden = hidden;
+  config.window = window;
+  fx.detector = core::LstmDetector(config);
+  fx.window = config.window;
+  const auto train = sample_logs(2000, 2);
+  const core::LogView view{train};
+  fx.detector.fit({&view, 1}, kVocab);
+  fx.quantized = fx.detector;
+  fx.quantized.set_quantized(true);
+  fx.streams.reserve(kStreams);
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    fx.streams.push_back(sample_logs(kStreamLen, 100 + s));
+    fx.total_windows += kStreamLen - fx.window;
+  }
+  return fx;
+}
+
 const Fixture& fixture() {
-  static const Fixture f = [] {
-    Fixture fx;
-    core::LstmDetectorConfig config;
-    config.initial_epochs = 1;
-    config.oversample = false;
-    // Inference-heavy sizing: at the library default (hidden=32) the
-    // forward pass is dominated by the fixed fp32 work every tier shares
-    // (gate sigmoids/tanh, softmax, embedding gather), which hides what
-    // this benchmark exists to compare — the GEMM regimes. hidden=128
-    // makes the per-step GEMMs the dominant term, the regime a
-    // production-scale model lives in.
-    config.hidden = 128;
-    fx.detector = core::LstmDetector(config);
-    fx.window = config.window;
-    const auto train = sample_logs(2000, 2);
-    const core::LogView view{train};
-    fx.detector.fit({&view, 1}, kVocab);
-    fx.quantized = fx.detector;
-    fx.quantized.set_quantized(true);
-    fx.streams.reserve(kStreams);
-    for (std::size_t s = 0; s < kStreams; ++s) {
-      fx.streams.push_back(sample_logs(kStreamLen, 100 + s));
-      fx.total_windows += kStreamLen - fx.window;
-    }
-    return fx;
-  }();
+  // Inference-heavy sizing: at the library default (hidden=32) the
+  // forward pass is dominated by the fixed fp32 work every tier shares
+  // (gate sigmoids/tanh, softmax, embedding gather), which hides what
+  // this benchmark exists to compare — the GEMM regimes. hidden=128
+  // makes the per-step GEMMs the dominant term, the regime a
+  // production-scale model lives in.
+  static const Fixture f = make_fixture(128, 10);
   return f;
 }
 
@@ -183,8 +191,8 @@ BENCHMARK(BM_ScoreBatchedQuantized)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-// --json mode: interleaved best-of-N wall-clock timing (robust to CPU
-// contention from neighbouring processes), machine-readable output.
+// --json mode: interleaved repeats of wall-clock timing, summarized by
+// the min (least disturbed by neighbouring processes) and the median.
 template <typename Fn>
 double timed_seconds(Fn&& fn) {
   const auto start = std::chrono::steady_clock::now();
@@ -195,63 +203,39 @@ double timed_seconds(Fn&& fn) {
   return elapsed.count();
 }
 
-int run_json_mode(const std::string& path, bool quantize) {
-  const Fixture& f = fixture();
+struct Timing {
+  double min_s = 0.0;
+  double median_s = 0.0;
+};
+
+Timing summarize(std::vector<double> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  const std::size_t n = seconds.size();
+  const double median = n % 2 == 1
+                            ? seconds[n / 2]
+                            : 0.5 * (seconds[n / 2 - 1] + seconds[n / 2]);
+  return {seconds.front(), median};
+}
+
+void write_regime(nfv::util::JsonWriter& w, const char* name,
+                  const Timing& t, double windows) {
+  w.key(name)
+      .begin_object()
+      .kv("min_s", t.min_s)
+      .kv("median_s", t.median_s)
+      .kv("windows_per_sec", windows / t.min_s)
+      .kv("windows_per_sec_median", windows / t.median_s)
+      .end_object();
+}
+
+void write_shape(nfv::util::JsonWriter& w, const Fixture& f, bool quantize,
+                 std::size_t repeats) {
   const double windows = static_cast<double>(f.total_windows);
-  constexpr std::size_t kReps = 7;
-
-  struct Row {
-    std::size_t threads;
-    double wbw_wps;
-    double batched_wps;
-    double quant_wps = 0.0;  // 0 when the int8 tier was not measured
-  };
-  std::vector<Row> rows;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    util::set_global_threads(threads);
-    run_window_by_window(f);  // warm-up (also stabilizes scratch shapes)
-    run_batched(f);
-    if (quantize) run_batched_quant(f);
-    // Alternate the regimes so a burst of external CPU load cannot
-    // penalize only one of them; report the best (least-disturbed) rep.
-    double wbw_best = 1e300, batched_best = 1e300, quant_best = 1e300;
-    for (std::size_t r = 0; r < kReps; ++r) {
-      wbw_best = std::min(
-          wbw_best, timed_seconds([&] { return run_window_by_window(f); }));
-      batched_best =
-          std::min(batched_best, timed_seconds([&] { return run_batched(f); }));
-      if (quantize) {
-        quant_best = std::min(
-            quant_best, timed_seconds([&] { return run_batched_quant(f); }));
-      }
-    }
-    Row row;
-    row.threads = threads;
-    row.wbw_wps = windows / wbw_best;
-    row.batched_wps = windows / batched_best;
-    if (quantize) row.quant_wps = windows / quant_best;
-    rows.push_back(row);
-    std::cerr << "threads=" << threads << " window-by-window=" << row.wbw_wps
-              << " windows/s, batched=" << row.batched_wps
-              << " windows/s (speedup " << row.batched_wps / row.wbw_wps
-              << "x)";
-    if (quantize) {
-      std::cerr << ", batched+int8=" << row.quant_wps << " windows/s ("
-                << row.quant_wps / row.batched_wps << "x over fp32 batched)";
-    }
-    std::cerr << "\n";
-  }
-  util::set_global_threads(0);
-
-  nfv::util::JsonWriter w;
+  const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
   w.begin_object();
-  w.kv("bench", "scoring_throughput");
-  w.kv("streams", kStreams);
-  w.kv("stream_length", kStreamLen);
-  w.kv("window", f.window);
   w.kv("hidden", f.detector.config().hidden);
+  w.kv("window", f.window);
   w.kv("total_windows", f.total_windows);
-  w.kv("score_batch", f.detector.config().score_batch);
   if (quantize) {
     const core::ModelMemoryStats fp32_mem = f.detector.model_memory();
     const core::ModelMemoryStats quant_mem = f.quantized.model_memory();
@@ -264,19 +248,63 @@ int run_json_mode(const std::string& path, bool quantize) {
     w.end_object();
   }
   w.key("results").begin_array();
-  for (const Row& row : rows) {
-    w.begin_object()
-        .kv("threads", row.threads)
-        .kv("window_by_window_windows_per_sec", row.wbw_wps)
-        .kv("batched_windows_per_sec", row.batched_wps)
-        .kv("speedup", row.batched_wps / row.wbw_wps);
-    if (quantize) {
-      w.kv("quantized_batched_windows_per_sec", row.quant_wps)
-          .kv("quantized_speedup_vs_fp32_batched",
-              row.quant_wps / row.batched_wps);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    util::set_global_threads(threads);
+    run_window_by_window(f);  // warm-up (also stabilizes scratch shapes)
+    run_batched(f);
+    if (quantize) run_batched_quant(f);
+    // Alternate the regimes so a burst of external CPU load cannot
+    // penalize only one of them.
+    std::vector<double> wbw_s, batched_s, quant_s;
+    for (std::size_t r = 0; r < repeats; ++r) {
+      wbw_s.push_back(timed_seconds([&] { return run_window_by_window(f); }));
+      batched_s.push_back(timed_seconds([&] { return run_batched(f); }));
+      if (quantize) {
+        quant_s.push_back(timed_seconds([&] { return run_batched_quant(f); }));
+      }
     }
+    const Timing wbw = summarize(wbw_s);
+    const Timing batched = summarize(batched_s);
+    w.begin_object()
+        .kv("nproc", nproc)
+        .kv("threads", threads)
+        .kv("repeats", repeats);
+    write_regime(w, "window_by_window", wbw, windows);
+    write_regime(w, "batched", batched, windows);
+    w.kv("speedup", wbw.min_s / batched.min_s);
+    std::cerr << "hidden=" << f.detector.config().hidden
+              << " window=" << f.window << " threads=" << threads
+              << " window-by-window=" << windows / wbw.min_s
+              << " windows/s, batched=" << windows / batched.min_s
+              << " windows/s (speedup " << wbw.min_s / batched.min_s << "x)";
+    if (quantize) {
+      const Timing quant = summarize(quant_s);
+      write_regime(w, "quantized_batched", quant, windows);
+      w.kv("quantized_speedup_vs_fp32_batched", batched.min_s / quant.min_s);
+      std::cerr << ", batched+int8=" << windows / quant.min_s
+                << " windows/s (" << batched.min_s / quant.min_s
+                << "x over fp32 batched)";
+    }
+    std::cerr << "\n";
     w.end_object();
   }
+  util::set_global_threads(0);
+  w.end_array();
+  w.end_object();
+}
+
+int run_json_mode(const std::string& path, bool quantize) {
+  constexpr std::size_t kRepeats = 7;
+  nfv::util::JsonWriter w;
+  w.begin_object();
+  w.kv("bench", "scoring_throughput");
+  w.kv("streams", kStreams);
+  w.kv("stream_length", kStreamLen);
+  w.kv("score_batch", fixture().detector.config().score_batch);
+  w.kv("simd_kernels", ml::simd_kernels_enabled());
+  w.key("shapes").begin_array();
+  write_shape(w, fixture(), quantize, kRepeats);
+  write_shape(w, make_fixture(16, 4), quantize, kRepeats);
   w.end_array();
   w.end_object();
   return bench::write_json_file(path, w) ? 0 : 1;

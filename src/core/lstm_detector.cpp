@@ -237,10 +237,10 @@ std::vector<std::vector<ScoredEvent>> LstmDetector::score_streams(
   for (std::size_t s = 0; s < streams.size(); ++s) {
     const LogView logs = streams[s];
     if (logs.size() <= config_.window) continue;
-    // Build windows (no gap filtering at scoring time: every log gets a
-    // score if it has k predecessors).
-    examples[s] = logproc::build_sequence_examples(
-        logs, config_.window, nfv::util::Duration::of_days(3650));
+    // Build windows with no gap filter: every log with k predecessors
+    // gets a score, so example j is log window + j, whatever the gaps.
+    examples[s] =
+        logproc::build_sequence_examples(logs, config_.window, std::nullopt);
     out[s].resize(examples[s].size());
     std::size_t example_index = 0;
     for (std::size_t i = config_.window; i < logs.size();

@@ -38,7 +38,8 @@ std::vector<ParsedLog> slice_time(std::span<const ParsedLog> logs,
 }
 
 std::vector<nfv::ml::SeqExample> build_sequence_examples(
-    std::span<const ParsedLog> logs, std::size_t window, Duration max_gap) {
+    std::span<const ParsedLog> logs, std::size_t window,
+    std::optional<Duration> max_gap) {
   NFV_CHECK(window >= 1, "window must be >= 1");
   std::vector<nfv::ml::SeqExample> out;
   if (logs.size() <= window) return out;
@@ -46,8 +47,8 @@ std::vector<nfv::ml::SeqExample> build_sequence_examples(
   for (std::size_t i = window; i < logs.size(); ++i) {
     // Reject windows spanning a session break.
     bool gap_break = false;
-    for (std::size_t j = i - window + 1; j <= i; ++j) {
-      if (logs[j].time - logs[j - 1].time > max_gap) {
+    for (std::size_t j = i - window + 1; max_gap && j <= i; ++j) {
+      if (logs[j].time - logs[j - 1].time > *max_gap) {
         gap_break = true;
         break;
       }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -42,10 +43,13 @@ std::vector<ParsedLog> slice_time(std::span<const ParsedLog> logs,
 /// Build LSTM training/scoring windows: for each position i ≥ k, a window
 /// of the k preceding (template, Δt) tuples with log i as the prediction
 /// target. Windows never span gaps larger than `max_gap` (a session break:
-/// prediction across an hours-long silence carries no sequential signal).
+/// prediction across an hours-long silence carries no sequential signal);
+/// with no `max_gap` every position i ≥ k yields a window, so window j
+/// always belongs to log k + j.
 std::vector<nfv::ml::SeqExample> build_sequence_examples(
     std::span<const ParsedLog> logs, std::size_t window,
-    nfv::util::Duration max_gap = nfv::util::Duration::of_hours(12));
+    std::optional<nfv::util::Duration> max_gap =
+        nfv::util::Duration::of_hours(12));
 
 /// Normalized template-frequency distribution over `logs` with the given
 /// vocabulary size — the representation both the vPE-similarity analysis

@@ -3,14 +3,61 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ml/simd_math.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace nfv::ml {
 
+namespace {
+
+/// Runs fn(r) for every row. Rows are independent, so the parallel split
+/// over the fused scoring batches is bit-identical to the serial sweep.
+template <typename Fn>
+void for_each_row(std::size_t rows, const Fn& fn) {
+  if (rows >= 64 && !nfv::util::ThreadPool::in_parallel_region() &&
+      nfv::util::global_pool().size() > 1) {
+    nfv::util::global_pool().parallel_for(0, rows, fn);
+  } else {
+    for (std::size_t r = 0; r < rows; ++r) fn(r);
+  }
+}
+
+#ifdef NFV_ML_SIMD
+/// Σ_c exp(l[c] − shift) over one row, 8 lanes per step through exp256;
+/// the ragged tail is a masked load whose dead lanes are zeroed after the
+/// exp. The lane partials are reduced in one fixed order, so a row's sum
+/// depends only on the row.
+__attribute__((target("avx2,fma"))) float sum_exp_shifted_fma(
+    const float* l, std::size_t n, float shift) {
+  const __m256 vshift = _mm256_set1_ps(shift);
+  __m256 acc = _mm256_setzero_ps();
+  std::size_t c = 0;
+  for (; c + 8 <= n; c += 8) {
+    acc = _mm256_add_ps(
+        acc, simd::exp256(_mm256_sub_ps(_mm256_loadu_ps(l + c), vshift)));
+  }
+  if (c < n) {
+    const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(n - c)), lanes);
+    const __m256 e = simd::exp256(
+        _mm256_sub_ps(_mm256_maskload_ps(l + c, mask), vshift));
+    acc = _mm256_add_ps(acc, _mm256_and_ps(e, _mm256_castsi256_ps(mask)));
+  }
+  __m128 s = _mm_add_ps(_mm256_castps256_ps128(acc),
+                        _mm256_extractf128_ps(acc, 1));
+  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
+  return _mm_cvtss_f32(s);
+}
+#endif
+
+}  // namespace
+
 void softmax(const Matrix& logits, Matrix& probs) {
   probs.resize(logits.rows(), logits.cols());
-  const auto softmax_row = [&](std::size_t r) {
+  for_each_row(logits.rows(), [&](std::size_t r) {
     const float* in = logits.row(r);
     float* out = probs.row(r);
     float max_logit = in[0];
@@ -24,15 +71,41 @@ void softmax(const Matrix& logits, Matrix& probs) {
     }
     const float inv = 1.0f / total;
     for (std::size_t c = 0; c < logits.cols(); ++c) out[c] *= inv;
-  };
-  // Rows are independent, so the parallel split over the fused scoring
-  // batches is bit-identical to the serial sweep.
-  if (logits.rows() >= 64 && !nfv::util::ThreadPool::in_parallel_region() &&
-      nfv::util::global_pool().size() > 1) {
-    nfv::util::global_pool().parallel_for(0, logits.rows(), softmax_row);
-  } else {
-    for (std::size_t r = 0; r < logits.rows(); ++r) softmax_row(r);
+  });
+}
+
+double log_softmax_target(const Matrix& logits, std::size_t row,
+                          std::int32_t target, double min_prob) {
+  NFV_CHECK(row < logits.rows(), "log_softmax_target row out of range");
+  NFV_CHECK(target >= 0 && static_cast<std::size_t>(target) < logits.cols(),
+            "log_softmax_target target out of range");
+  const float* l = logits.row(row);
+  const std::size_t n = logits.cols();
+  // The max is exact in any order, so both modes find the same shift.
+  const float max_logit = *std::max_element(l, l + n);
+  float total = 0.0f;
+#ifdef NFV_ML_SIMD
+  if (simd_kernels_enabled()) {
+    total = sum_exp_shifted_fma(l, n, max_logit);
+  } else
+#endif
+  {
+    for (std::size_t c = 0; c < n; ++c) total += std::exp(l[c] - max_logit);
   }
+  const double log_p =
+      static_cast<double>(l[static_cast<std::size_t>(target)] - max_logit) -
+      std::log(static_cast<double>(total));
+  return std::max(log_p, std::log(min_prob));
+}
+
+void log_softmax_targets(const Matrix& logits,
+                         std::span<const std::int32_t> targets,
+                         std::span<double> out, double min_prob) {
+  NFV_CHECK(targets.size() == logits.rows() && out.size() == logits.rows(),
+            "log_softmax_targets: one target and one output per row");
+  for_each_row(logits.rows(), [&](std::size_t r) {
+    out[r] = log_softmax_target(logits, r, targets[r], min_prob);
+  });
 }
 
 double softmax_cross_entropy(const Matrix& logits,

@@ -3,11 +3,8 @@
 #include <cmath>
 #include <cstring>
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#endif
-
 #include "ml/activations.h"
+#include "ml/simd_math.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -37,58 +34,9 @@ void for_each_row(std::size_t rows, const Fn& fn) {
   }
 }
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define NFV_LSTM_SIMD 1
-
-// Vectorized activations for the fused gate/cell row passes, used only in
-// the AVX2+FMA kernel mode (ml::simd_kernels_enabled). exp — and tanh /
-// sigmoid through it — is the classic Cephes single-precision evaluation
-// (range-reduce by ln 2, degree-6 polynomial, scale by 2^n), accurate to
-// ~1e-7 relative. Like FMA contraction in the matmul kernels, this makes
-// the two SIMD modes differ numerically from each other, while each mode
-// stays bit-identical across thread counts: the row split never changes
-// which instructions evaluate a given element.
-
-__attribute__((target("avx2,fma"))) inline __m256 exp256(__m256 x) {
-  x = _mm256_min_ps(x, _mm256_set1_ps(88.3762626647949f));
-  x = _mm256_max_ps(x, _mm256_set1_ps(-88.3762626647949f));
-  const __m256 n = _mm256_round_ps(
-      _mm256_mul_ps(x, _mm256_set1_ps(1.44269504088896341f)),
-      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  // r = x - n·ln2, with ln2 split in two for extra precision.
-  __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693359375f), x);
-  r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.12194440e-4f), r);
-  __m256 p = _mm256_set1_ps(1.9875691500e-4f);
-  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.3981999507e-3f));
-  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.3334519073e-3f));
-  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.1665795894e-2f));
-  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.6666665459e-1f));
-  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0000001201e-1f));
-  p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r);
-  p = _mm256_add_ps(p, _mm256_set1_ps(1.0f));
-  __m256i bits = _mm256_cvtps_epi32(n);
-  bits = _mm256_add_epi32(bits, _mm256_set1_epi32(127));
-  bits = _mm256_slli_epi32(bits, 23);
-  return _mm256_mul_ps(p, _mm256_castsi256_ps(bits));
-}
-
-__attribute__((target("avx2,fma"))) inline __m256 tanh256(__m256 x) {
-  // tanh(x) = sign(x)·(1 − t)/(1 + t) with t = exp(−2|x|) ∈ (0, 1].
-  const __m256 sign_mask = _mm256_set1_ps(-0.0f);
-  const __m256 sign = _mm256_and_ps(x, sign_mask);
-  const __m256 ax = _mm256_andnot_ps(sign_mask, x);
-  const __m256 t = exp256(_mm256_mul_ps(ax, _mm256_set1_ps(-2.0f)));
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 y =
-      _mm256_div_ps(_mm256_sub_ps(one, t), _mm256_add_ps(one, t));
-  return _mm256_or_ps(y, sign);
-}
-
-__attribute__((target("avx2,fma"))) inline __m256 sigmoid256(__m256 x) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 e = exp256(_mm256_sub_ps(_mm256_setzero_ps(), x));
-  return _mm256_div_ps(one, _mm256_add_ps(one, e));
-}
+#ifdef NFV_ML_SIMD
+using simd::sigmoid256;
+using simd::tanh256;
 
 /// Fused bias + gate activations for one row of [i f g o] pre-activations.
 __attribute__((target("avx2,fma"))) void gate_activation_row_fma(
@@ -115,6 +63,7 @@ __attribute__((target("avx2,fma"))) void gate_activation_row_fma(
 }
 
 /// Fused cell/hidden update for one row: c = f·c_prev + i·g, h = o·tanh(c).
+/// `cp` may alias `c`: each lane is loaded before it is stored.
 __attribute__((target("avx2,fma"))) void cell_forward_row_fma(
     const float* g, const float* cp, float* c, float* hh, std::size_t h) {
   std::size_t j = 0;
@@ -183,7 +132,7 @@ __attribute__((target("avx2,fma"))) void gate_backward_row_fma(
     dcn[j] = dc * fg;
   }
 }
-#endif  // NFV_LSTM_SIMD
+#endif  // NFV_ML_SIMD
 
 }  // namespace
 
@@ -200,33 +149,29 @@ Lstm::Lstm(std::string name, std::size_t input_size, std::size_t hidden_size,
   }
 }
 
-void Lstm::compute_gates(const Matrix& input, const Matrix& h_prev,
-                         Matrix& concat_scratch, Matrix& gates,
-                         const QuantizedMatrix* qweight) const {
+void Lstm::concat_input(const Matrix& input, const Matrix& h_prev,
+                        Matrix& concat) const {
   const std::size_t batch = input.rows();
   NFV_CHECK(input.cols() == input_size_,
             "Lstm input width " << input.cols() << " != " << input_size_);
-  concat_scratch.resize(batch, input_size_ + hidden_size_);
+  concat.resize(batch, input_size_ + hidden_size_);
   for (std::size_t r = 0; r < batch; ++r) {
-    std::memcpy(concat_scratch.row(r), input.row(r),
-                input_size_ * sizeof(float));
-    std::memcpy(concat_scratch.row(r) + input_size_, h_prev.row(r),
+    std::memcpy(concat.row(r), input.row(r), input_size_ * sizeof(float));
+    std::memcpy(concat.row(r) + input_size_, h_prev.row(r),
                 hidden_size_ * sizeof(float));
   }
-  if (qweight != nullptr) {
-    matmul_quant(concat_scratch, *qweight, gates);
-  } else {
-    matmul_transb(concat_scratch, weight_.value, gates);
-  }
+}
+
+void Lstm::activate_gates(Matrix& gates) const {
   const std::size_t h = hidden_size_;
   const float* bias = bias_.value.row(0);
   // Bias + activations fused into one row pass (same per-element order as
   // add_row_vector followed by the activation sweeps).
   const bool simd = simd_kernels_enabled();
   (void)simd;
-  for_each_row(batch, [&](std::size_t r) {
+  for_each_row(gates.rows(), [&](std::size_t r) {
     float* g = gates.row(r);
-#ifdef NFV_LSTM_SIMD
+#ifdef NFV_ML_SIMD
     if (simd) {
       gate_activation_row_fma(g, bias, h);
       return;
@@ -237,6 +182,33 @@ void Lstm::compute_gates(const Matrix& input, const Matrix& h_prev,
     for (std::size_t j = h; j < 2 * h; ++j) g[j] = sigmoid(g[j]);            // f
     for (std::size_t j = 2 * h; j < 3 * h; ++j) g[j] = std::tanh(g[j]);      // g
     for (std::size_t j = 3 * h; j < 4 * h; ++j) g[j] = sigmoid(g[j]);        // o
+  });
+}
+
+void Lstm::update_cell(const Matrix& gates, const Matrix& c_prev, Matrix& c,
+                       Matrix& hidden) const {
+  const std::size_t h = hidden_size_;
+  const bool simd = simd_kernels_enabled();
+  (void)simd;
+  for_each_row(gates.rows(), [&](std::size_t r) {
+    const float* g = gates.row(r);
+    const float* cp = c_prev.row(r);
+    float* cr = c.row(r);
+    float* hh = hidden.row(r);
+#ifdef NFV_ML_SIMD
+    if (simd) {
+      cell_forward_row_fma(g, cp, cr, hh, h);
+      return;
+    }
+#endif
+    for (std::size_t j = 0; j < h; ++j) {
+      const float ig = g[j];
+      const float fg = g[h + j];
+      const float cg = g[2 * h + j];
+      const float og = g[3 * h + j];
+      cr[j] = fg * cp[j] + ig * cg;
+      hh[j] = og * std::tanh(cr[j]);
+    }
   });
 }
 
@@ -253,44 +225,25 @@ const std::vector<Matrix>& Lstm::forward(const std::vector<Matrix>& inputs) {
     c_cache_.assign(steps, Matrix());
     h_cache_.assign(steps, Matrix());
   }
+  // Every step multiplies by the same W; pack it once per pass.
+  pack_weight(packed_transb_);
 
   // Point at the previous step's cache entries instead of copying them —
   // the zero initial state is the only matrix materialized here.
   Matrix zero_state(batch, hidden_size_);
   const Matrix* h_prev = &zero_state;
   const Matrix* c_prev = &zero_state;
-  const std::size_t h = hidden_size_;
   for (std::size_t t = 0; t < steps; ++t) {
     NFV_CHECK(inputs[t].rows() == batch, "Lstm batch size varies over time");
-    compute_gates(inputs[t], *h_prev, concat_cache_[t], gates_cache_[t]);
+    concat_input(inputs[t], *h_prev, concat_cache_[t]);
+    matmul_transb_packed(concat_cache_[t], weight_.value, packed_transb_,
+                         gates_cache_[t]);
+    activate_gates(gates_cache_[t]);
     Matrix& c_t = c_cache_[t];
     Matrix& h_t = h_cache_[t];
-    c_t.resize(batch, h);
-    h_t.resize(batch, h);
-    const Matrix& gates = gates_cache_[t];
-    const Matrix& cp_m = *c_prev;
-    const bool simd = simd_kernels_enabled();
-    (void)simd;
-    for_each_row(batch, [&](std::size_t r) {
-      const float* g = gates.row(r);
-      const float* cp = cp_m.row(r);
-      float* c = c_t.row(r);
-      float* hh = h_t.row(r);
-#ifdef NFV_LSTM_SIMD
-      if (simd) {
-        cell_forward_row_fma(g, cp, c, hh, h);
-        return;
-      }
-#endif
-      for (std::size_t j = 0; j < h; ++j) {
-        const float ig = g[j];
-        const float fg = g[h + j];
-        const float cg = g[2 * h + j];
-        const float og = g[3 * h + j];
-        c[j] = fg * cp[j] + ig * cg;
-        hh[j] = og * std::tanh(c[j]);
-      }
-    });
+    c_t.resize(batch, hidden_size_);
+    h_t.resize(batch, hidden_size_);
+    update_cell(gates_cache_[t], *c_prev, c_t, h_t);
     h_prev = &h_t;
     c_prev = &c_t;
   }
@@ -334,7 +287,7 @@ const std::vector<Matrix>& Lstm::backward(
       float* dhn = dh_next_.row(r);
       float* dcn = dc_next_.row(r);
       float* dg = dgates.row(r);
-#ifdef NFV_LSTM_SIMD
+#ifdef NFV_ML_SIMD
       if (simd) {
         gate_backward_row_fma(g, c, c_prev ? c_prev->row(r) : nullptr, gh,
                               dhn, dcn, dg, h);
@@ -400,46 +353,41 @@ const std::vector<Matrix>& Lstm::backward(
   return grad_inputs_;
 }
 
+void Lstm::pack_weight(std::vector<float>& packed) const {
+  pack_transb(weight_.value, packed);
+}
+
 void Lstm::step(const Matrix& input, LstmState& state) const {
   Matrix concat;
   Matrix gates;
-  step(input, state, concat, gates);
+  step(input, state, {}, concat, gates);
 }
 
-void Lstm::step(const Matrix& input, LstmState& state, Matrix& concat_scratch,
-                Matrix& gates_scratch) const {
-  const std::size_t batch = input.rows();
-  NFV_CHECK(state.h.rows() == batch && state.c.rows() == batch,
+void Lstm::step(const Matrix& input, LstmState& state,
+                const std::vector<float>& packed_weight,
+                Matrix& concat_scratch, Matrix& gates_scratch) const {
+  NFV_CHECK(state.h.rows() == input.rows() && state.c.rows() == input.rows(),
             "LstmState batch mismatch");
-  compute_gates(input, state.h, concat_scratch, gates_scratch);
-  cell_update(gates_scratch, state);
+  concat_input(input, state.h, concat_scratch);
+  matmul_transb_packed(concat_scratch, weight_.value, packed_weight,
+                       gates_scratch);
+  activate_gates(gates_scratch);
+  update_cell(gates_scratch, state.c, state.c, state.h);
 }
 
 void Lstm::step_quantized(const Matrix& input, LstmState& state,
                           const QuantizedMatrix& qweight,
                           Matrix& concat_scratch,
                           Matrix& gates_scratch) const {
-  const std::size_t batch = input.rows();
-  NFV_CHECK(state.h.rows() == batch && state.c.rows() == batch,
+  NFV_CHECK(state.h.rows() == input.rows() && state.c.rows() == input.rows(),
             "LstmState batch mismatch");
   NFV_CHECK(qweight.rows == 4 * hidden_size_ &&
                 qweight.cols == input_size_ + hidden_size_,
             "Lstm::step_quantized weight shape mismatch");
-  compute_gates(input, state.h, concat_scratch, gates_scratch, &qweight);
-  cell_update(gates_scratch, state);
-}
-
-void Lstm::cell_update(const Matrix& gates, LstmState& state) const {
-  const std::size_t h = hidden_size_;
-  for_each_row(gates.rows(), [&](std::size_t r) {
-    const float* g = gates.row(r);
-    float* c = state.c.row(r);
-    float* hh = state.h.row(r);
-    for (std::size_t j = 0; j < h; ++j) {
-      c[j] = g[h + j] * c[j] + g[j] * g[2 * h + j];
-      hh[j] = g[3 * h + j] * std::tanh(c[j]);
-    }
-  });
+  concat_input(input, state.h, concat_scratch);
+  matmul_quant(concat_scratch, qweight, gates_scratch);
+  activate_gates(gates_scratch);
+  update_cell(gates_scratch, state.c, state.c, state.h);
 }
 
 LstmState Lstm::make_state(std::size_t batch) const {

@@ -42,13 +42,22 @@ class Lstm {
   /// Stateful single-step inference (no caching, no gradients).
   void step(const Matrix& input, LstmState& state) const;
 
-  /// As step(), but with caller-owned scratch matrices so tight scoring
-  /// loops allocate nothing per step (the scratch is resized in place and
-  /// its capacity is reused across calls).
-  void step(const Matrix& input, LstmState& state, Matrix& concat_scratch,
+  /// Pack this layer's gate weight for the step() overload below
+  /// (pack_transb layout). The image is a copy: it is valid until the
+  /// weights next change, so callers pack once per forward pass.
+  void pack_weight(std::vector<float>& packed) const;
+
+  /// As step(), but the gate GEMM reads `packed_weight` (from
+  /// pack_weight(), or empty: see matmul_transb_packed) and the caller owns
+  /// the scratch matrices, so a scoring loop packs each weight once per
+  /// pass and allocates nothing per step (the scratch is resized in place
+  /// and its capacity is reused). Bit-identical to the training forward
+  /// pass: both run the same GEMM, gate and cell kernels.
+  void step(const Matrix& input, LstmState& state,
+            const std::vector<float>& packed_weight, Matrix& concat_scratch,
             Matrix& gates_scratch) const;
 
-  /// As the scratch step(), but the gate pre-activation GEMM runs on the
+  /// As the packed step(), but the gate pre-activation GEMM runs on the
   /// packed int8 image of this layer's weight matrix (`qweight` must come
   /// from quantize_pack_b(weight().value)). Bias, gate activations and the
   /// cell update are the untouched fp32 code paths — only the matmul is
@@ -68,10 +77,15 @@ class Lstm {
   Param& bias() { return bias_; }
 
  private:
-  void compute_gates(const Matrix& input, const Matrix& h_prev,
-                     Matrix& concat_scratch, Matrix& gates,
-                     const QuantizedMatrix* qweight = nullptr) const;
-  void cell_update(const Matrix& gates, LstmState& state) const;
+  /// concat = [input, h_prev] (B × (I+H)).
+  void concat_input(const Matrix& input, const Matrix& h_prev,
+                    Matrix& concat) const;
+  /// Bias + gate activations over the raw gate GEMM output, in place.
+  void activate_gates(Matrix& gates) const;
+  /// c = f·c_prev + i·g, hidden = o·tanh(c); `c_prev` may alias `c`. The
+  /// one cell kernel behind forward() and step().
+  void update_cell(const Matrix& gates, const Matrix& c_prev, Matrix& c,
+                   Matrix& hidden) const;
 
   std::size_t input_size_;
   std::size_t hidden_size_;
@@ -97,6 +111,7 @@ class Lstm {
   Matrix dc_next_;
   Matrix dconcat_;
   std::vector<float> packed_weight_;  // weight_ packed for dgates × W
+  std::vector<float> packed_transb_;  // weight_ packed for [x, h] × Wᵀ
 };
 
 }  // namespace nfv::ml

@@ -333,7 +333,7 @@ inline void transa_acc_block(const Matrix& a, const Matrix& b, Matrix& out,
 
 /// Minimum a-row count before packing b into panels pays for itself; below
 /// this the plain row kernel is used (a 1-window batch never packs).
-constexpr std::size_t kPackMinRows = 8;
+constexpr std::size_t kPackMinRows = kTransbPackMinRows;
 
 /// Reused pack buffer (packing happens on the calling thread before any
 /// parallel fan-out; workers only read it).
@@ -396,21 +396,63 @@ __attribute__((target("avx2,fma"))) void matmul_row_fma(
 /// Hand-vectorized AVX2+FMA packed kernel: one 256-bit fmadd per
 /// (a-row, k) covers a full 8-column panel, so each accumulator lane is
 /// exactly the chain `acc = fma(a[k]*b[k], acc)` in k order — the same
-/// fused operation the contracted scalar row kernel performs.
+/// fused operation the contracted scalar row kernel performs. Tiles are
+/// 4 rows × 2 panels: eight independent accumulator chains hide the fmadd
+/// latency that four chains leave exposed, and every lane keeps its own
+/// k-ascending chain, so the tile shape never changes a result bit.
 __attribute__((target("avx2,fma"))) void matmul_transb_rows_packed_fma(
     const Matrix& a, const Matrix& b, const float* packed, Matrix& out,
     std::size_t i0, std::size_t i1) {
   const std::size_t cols = a.cols();
   const std::size_t jn = b.rows();
   const std::size_t panels = jn / kPanelCols;
+  const std::size_t panel_size = cols * kPanelCols;
   std::size_t i = i0;
   for (; i + 4 <= i1; i += 4) {
     const float* a0 = a.row(i);
     const float* a1 = a.row(i + 1);
     const float* a2 = a.row(i + 2);
     const float* a3 = a.row(i + 3);
-    for (std::size_t jp = 0; jp < panels; ++jp) {
-      const float* panel = packed + jp * cols * kPanelCols;
+    float* o0 = out.row(i);
+    float* o1 = out.row(i + 1);
+    float* o2 = out.row(i + 2);
+    float* o3 = out.row(i + 3);
+    std::size_t jp = 0;
+    for (; jp + 2 <= panels; jp += 2) {
+      const float* p0 = packed + jp * panel_size;
+      const float* p1 = p0 + panel_size;
+      __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
+      __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
+      __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
+      __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
+      for (std::size_t k = 0; k < cols; ++k) {
+        const __m256 bv0 = _mm256_loadu_ps(p0 + kPanelCols * k);
+        const __m256 bv1 = _mm256_loadu_ps(p1 + kPanelCols * k);
+        const __m256 av0 = _mm256_set1_ps(a0[k]);
+        const __m256 av1 = _mm256_set1_ps(a1[k]);
+        const __m256 av2 = _mm256_set1_ps(a2[k]);
+        const __m256 av3 = _mm256_set1_ps(a3[k]);
+        acc00 = _mm256_fmadd_ps(av0, bv0, acc00);
+        acc01 = _mm256_fmadd_ps(av0, bv1, acc01);
+        acc10 = _mm256_fmadd_ps(av1, bv0, acc10);
+        acc11 = _mm256_fmadd_ps(av1, bv1, acc11);
+        acc20 = _mm256_fmadd_ps(av2, bv0, acc20);
+        acc21 = _mm256_fmadd_ps(av2, bv1, acc21);
+        acc30 = _mm256_fmadd_ps(av3, bv0, acc30);
+        acc31 = _mm256_fmadd_ps(av3, bv1, acc31);
+      }
+      const std::size_t j = kPanelCols * jp;
+      _mm256_storeu_ps(o0 + j, acc00);
+      _mm256_storeu_ps(o0 + j + kPanelCols, acc01);
+      _mm256_storeu_ps(o1 + j, acc10);
+      _mm256_storeu_ps(o1 + j + kPanelCols, acc11);
+      _mm256_storeu_ps(o2 + j, acc20);
+      _mm256_storeu_ps(o2 + j + kPanelCols, acc21);
+      _mm256_storeu_ps(o3 + j, acc30);
+      _mm256_storeu_ps(o3 + j + kPanelCols, acc31);
+    }
+    if (jp < panels) {  // odd panel count: one 4 × 1 tile
+      const float* panel = packed + jp * panel_size;
       __m256 acc0 = _mm256_setzero_ps();
       __m256 acc1 = _mm256_setzero_ps();
       __m256 acc2 = _mm256_setzero_ps();
@@ -422,10 +464,11 @@ __attribute__((target("avx2,fma"))) void matmul_transb_rows_packed_fma(
         acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a2[k]), bv, acc2);
         acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a3[k]), bv, acc3);
       }
-      _mm256_storeu_ps(out.row(i) + kPanelCols * jp, acc0);
-      _mm256_storeu_ps(out.row(i + 1) + kPanelCols * jp, acc1);
-      _mm256_storeu_ps(out.row(i + 2) + kPanelCols * jp, acc2);
-      _mm256_storeu_ps(out.row(i + 3) + kPanelCols * jp, acc3);
+      const std::size_t j = kPanelCols * jp;
+      _mm256_storeu_ps(o0 + j, acc0);
+      _mm256_storeu_ps(o1 + j, acc1);
+      _mm256_storeu_ps(o2 + j, acc2);
+      _mm256_storeu_ps(o3 + j, acc3);
     }
     for (std::size_t j = kPanelCols * panels; j < jn; ++j) {
       const float* brow = b.row(j);
@@ -437,10 +480,10 @@ __attribute__((target("avx2,fma"))) void matmul_transb_rows_packed_fma(
         d2 = __builtin_fmaf(a2[k], bk, d2);
         d3 = __builtin_fmaf(a3[k], bk, d3);
       }
-      out.row(i)[j] = d0;
-      out.row(i + 1)[j] = d1;
-      out.row(i + 2)[j] = d2;
-      out.row(i + 3)[j] = d3;
+      o0[j] = d0;
+      o1[j] = d1;
+      o2[j] = d2;
+      o3[j] = d3;
     }
   }
   for (; i < i1; ++i) transb_row_fma_body(a, b, out, i);
@@ -1125,20 +1168,19 @@ void matmul_transb_serial(const Matrix& a, const Matrix& b, Matrix& out) {
   transb_rows_packed_dispatch(a, b, tl_packed_b.data(), out, 0, a.rows());
 }
 
-void matmul_transb(const Matrix& a, const Matrix& b, Matrix& out) {
-  NFV_CHECK(a.cols() == b.cols(), "matmul_transb inner-dimension mismatch: "
-                                      << a.cols() << " vs " << b.cols());
+namespace {
+
+/// out = a·bᵀ (already shaped) from b's packed panels. Above the work
+/// threshold the rows run in parallel blocks that keep the 4-row tiling
+/// inside each task. Every task writes only its own rows and every
+/// accumulator chain keeps its k-order, so the result matches the serial
+/// kernel bit for bit regardless of thread count.
+void transb_packed_rows(const Matrix& a, const Matrix& b, const float* packed,
+                        Matrix& out) {
   if (!use_parallel(a.rows() * a.cols() * b.rows())) {
-    matmul_transb_serial(a, b, out);
+    transb_rows_packed_dispatch(a, b, packed, out, 0, a.rows());
     return;
   }
-  out.resize(a.rows(), b.rows());
-  // Pack once on the calling thread; row blocks keep the 4×4 tiling inside
-  // each parallel task. Every task writes only its own rows and every
-  // accumulator chain keeps its k-order, so the result matches the serial
-  // kernel bit for bit regardless of thread count.
-  pack_transb_panels(b, tl_packed_b);
-  const float* packed = tl_packed_b.data();
   constexpr std::size_t kRowBlock = 16;
   const std::size_t blocks = (a.rows() + kRowBlock - 1) / kRowBlock;
   nfv::util::global_pool().parallel_for(0, blocks, [&](std::size_t bi) {
@@ -1146,6 +1188,41 @@ void matmul_transb(const Matrix& a, const Matrix& b, Matrix& out) {
     transb_rows_packed_dispatch(a, b, packed, out, i0,
                                 std::min(i0 + kRowBlock, a.rows()));
   });
+}
+
+}  // namespace
+
+void matmul_transb(const Matrix& a, const Matrix& b, Matrix& out) {
+  NFV_CHECK(a.cols() == b.cols(), "matmul_transb inner-dimension mismatch: "
+                                      << a.cols() << " vs " << b.cols());
+  if (a.rows() < kPackMinRows) {
+    matmul_transb_serial(a, b, out);
+    return;
+  }
+  out.resize(a.rows(), b.rows());
+  // Pack on the calling thread; parallel workers only read the panels.
+  pack_transb_panels(b, tl_packed_b);
+  transb_packed_rows(a, b, tl_packed_b.data(), out);
+}
+
+void pack_transb(const Matrix& b, std::vector<float>& packed) {
+  pack_transb_panels(b, packed);
+}
+
+void matmul_transb_packed(const Matrix& a, const Matrix& b,
+                          const std::vector<float>& packed, Matrix& out) {
+  if (packed.empty()) {
+    matmul_transb(a, b, out);
+    return;
+  }
+  NFV_CHECK(a.cols() == b.cols(),
+            "matmul_transb_packed inner-dimension mismatch: "
+                << a.cols() << " vs " << b.cols());
+  NFV_CHECK(packed.size() == (b.rows() / kPanelCols) * b.cols() * kPanelCols,
+            "matmul_transb_packed: packed buffer does not match b "
+            "(repack needed)");
+  out.resize(a.rows(), b.rows());
+  transb_packed_rows(a, b, packed.data(), out);
 }
 
 void matmul_transa_accumulate_serial(const Matrix& a, const Matrix& b,

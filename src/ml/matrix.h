@@ -97,6 +97,25 @@ void matmul_packed(const Matrix& a, const Matrix& b,
 /// row-blocked parallel dispatch as matmul.
 void matmul_transb(const Matrix& a, const Matrix& b, Matrix& out);
 
+/// Pack the weight operand b (C×K) of out = a·bᵀ into 8-row k-major panels
+/// for matmul_transb_packed — the layout matmul_transb builds internally on
+/// every call. Pre-packing pays off when one weight multiplies many A
+/// matrices, e.g. an LSTM layer's gate weight at every timestep of a
+/// forward pass. The image is a copy: repack after b changes.
+void pack_transb(const Matrix& b, std::vector<float>& packed);
+
+/// out = a·bᵀ with `packed` previously produced by pack_transb(b), or
+/// empty for "not packed" (the call is then matmul_transb). Bit-identical
+/// to matmul_transb(a, b, out) and to matmul_transb_serial for any row
+/// count and thread count.
+void matmul_transb_packed(const Matrix& a, const Matrix& b,
+                          const std::vector<float>& packed, Matrix& out);
+
+/// matmul_transb packs b only for products of at least this many rows;
+/// smaller ones run row-at-a-time and never read panels, so a caller
+/// whose products are all smaller has nothing to gain from pack_transb.
+inline constexpr std::size_t kTransbPackMinRows = 8;
+
 /// out += aᵀ (K×R stored as R×K) * b (R×C) — i.e. out (K×C) accumulates
 /// gradient contributions Σ_r a[r]ᵀ b[r]. Used for weight gradients.
 /// Register-tiled 4-row × 8-column kernel with AVX2+FMA dispatch: each

@@ -13,6 +13,23 @@
 
 namespace nfv::ml {
 
+namespace {
+
+/// 0-based rank of `target` in probability row `r`: the number of classes
+/// strictly more likely than it.
+std::size_t target_rank(const Matrix& probs, std::size_t r,
+                        std::int32_t target) {
+  NFV_CHECK(target >= 0 && static_cast<std::size_t>(target) < probs.cols(),
+            "target outside vocabulary");
+  const float* row = probs.row(r);
+  const float p_target = row[static_cast<std::size_t>(target)];
+  return static_cast<std::size_t>(
+      std::count_if(row, row + probs.cols(),
+                    [p_target](float p) { return p > p_target; }));
+}
+
+}  // namespace
+
 float normalize_dt(float dt_seconds) {
   // log1p compresses the heavy-tailed inter-arrival distribution; the /10
   // keeps the feature within roughly [0, 1.5] for Δt up to a few hours.
@@ -173,64 +190,36 @@ double SequenceModel::train_batch(const std::vector<const SeqExample*>& batch,
   return loss;
 }
 
-void SequenceModel::predict(const std::vector<const SeqExample*>& batch,
-                            Matrix& probs) const {
-  NFV_CHECK(!batch.empty(), "predict on empty batch");
-  std::vector<Matrix> inputs;
-  build_inputs(batch.data(), batch.size(), inputs, nullptr);
-
-  // Stateful stepping avoids touching the training caches, keeping
-  // prediction const and cheap.
-  std::vector<LstmState> states;
-  states.reserve(lstm_layers_.size());
-  for (const Lstm& lstm : lstm_layers_) {
-    states.push_back(lstm.make_state(batch.size()));
+void SequenceModel::pack_weights(std::size_t rows,
+                                 InferenceScratch& scratch) const {
+  scratch.packed_lstm.resize(lstm_layers_.size());
+  // Below kTransbPackMinRows the GEMMs run row-at-a-time and read no
+  // panels; int8 mode multiplies by its own pre-packed sidecar.
+  const bool pack = !quantized_ && rows >= kTransbPackMinRows;
+  for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
+    scratch.packed_lstm[l].clear();
+    if (pack) lstm_layers_[l].pack_weight(scratch.packed_lstm[l]);
   }
-  Matrix concat;
-  Matrix gates;
-  for (std::size_t t = 0; t < config_.window; ++t) {
-    const Matrix* x = &inputs[t];
-    for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
-      if (quantized_) {
-        lstm_layers_[l].step_quantized(*x, states[l], quantized_->lstm[l],
-                                       concat, gates);
-      } else {
-        lstm_layers_[l].step(*x, states[l], concat, gates);
-      }
-      x = &states[l].h;
-    }
-  }
-  Matrix logits;
-  if (quantized_) {
-    matmul_quant(states.back().h, quantized_->output, logits);
-  } else {
-    matmul_transb(states.back().h, output_.weight().value, logits);
-  }
-  add_row_vector(logits, output_.bias().value);
-  softmax(logits, probs);
+  scratch.packed_output.clear();
+  if (pack) pack_transb(output_.weight().value, scratch.packed_output);
 }
 
-void SequenceModel::forward_probs(const SeqExample* const* batch,
-                                  std::size_t batch_size,
-                                  InferenceScratch& scratch) const {
+void SequenceModel::forward_logits(const SeqExample* const* batch,
+                                   std::size_t batch_size,
+                                   InferenceScratch& scratch) const {
   build_inputs(batch, batch_size, scratch.inputs, nullptr);
 
   // (Re)shape the recurrent state in place. Matrix::resize zero-fills,
   // which is exactly the initial state Lstm::make_state would provide,
   // while reusing the buffers' heap capacity across sub-batches.
-  if (scratch.states.size() != lstm_layers_.size()) {
-    scratch.states.clear();
-    scratch.states.reserve(lstm_layers_.size());
-    for (const Lstm& lstm : lstm_layers_) {
-      scratch.states.push_back(lstm.make_state(batch_size));
-    }
-  } else {
-    for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
-      scratch.states[l].h.resize(batch_size, config_.hidden);
-      scratch.states[l].c.resize(batch_size, config_.hidden);
-    }
+  scratch.states.resize(lstm_layers_.size());
+  for (LstmState& state : scratch.states) {
+    state.h.resize(batch_size, config_.hidden);
+    state.c.resize(batch_size, config_.hidden);
   }
 
+  // Stateful stepping avoids touching the training caches, keeping
+  // scoring const and cheap.
   for (std::size_t t = 0; t < config_.window; ++t) {
     const Matrix* x = &scratch.inputs[t];
     for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
@@ -239,8 +228,8 @@ void SequenceModel::forward_probs(const SeqExample* const* batch,
                                        quantized_->lstm[l], scratch.concat,
                                        scratch.gates);
       } else {
-        lstm_layers_[l].step(*x, scratch.states[l], scratch.concat,
-                             scratch.gates);
+        lstm_layers_[l].step(*x, scratch.states[l], scratch.packed_lstm[l],
+                             scratch.concat, scratch.gates);
       }
       x = &scratch.states[l].h;
     }
@@ -249,11 +238,28 @@ void SequenceModel::forward_probs(const SeqExample* const* batch,
     matmul_quant(scratch.states.back().h, quantized_->output,
                  scratch.logits);
   } else {
-    matmul_transb(scratch.states.back().h, output_.weight().value,
-                  scratch.logits);
+    matmul_transb_packed(scratch.states.back().h, output_.weight().value,
+                         scratch.packed_output, scratch.logits);
   }
   add_row_vector(scratch.logits, output_.bias().value);
-  softmax(scratch.logits, scratch.probs);
+}
+
+void SequenceModel::target_log_likelihoods(const SeqExample* const* batch,
+                                           InferenceScratch& scratch,
+                                           double* out) const {
+  const std::size_t n = scratch.logits.rows();
+  scratch.targets.resize(n);
+  for (std::size_t r = 0; r < n; ++r) scratch.targets[r] = batch[r]->target;
+  log_softmax_targets(scratch.logits, scratch.targets, {out, n});
+}
+
+void SequenceModel::predict(const std::vector<const SeqExample*>& batch,
+                            Matrix& probs) const {
+  NFV_CHECK(!batch.empty(), "predict on empty batch");
+  InferenceScratch scratch;
+  pack_weights(batch.size(), scratch);
+  forward_logits(batch.data(), batch.size(), scratch);
+  softmax(scratch.logits, probs);
 }
 
 void SequenceModel::score_batched(std::span<const SeqExample* const> batch,
@@ -264,12 +270,12 @@ void SequenceModel::score_batched(std::span<const SeqExample* const> batch,
   NFV_CHECK(out.size() == batch.size(),
             "score_batched output size " << out.size() << " != batch size "
                                          << batch.size());
+  pack_weights(std::min(batch_size, batch.size()), scratch);
   for (std::size_t start = 0; start < batch.size(); start += batch_size) {
     const std::size_t n = std::min(batch_size, batch.size() - start);
-    forward_probs(batch.data() + start, n, scratch);
-    for (std::size_t r = 0; r < n; ++r) {
-      out[start + r] = log_prob(scratch.probs, r, batch[start + r]->target);
-    }
+    forward_logits(batch.data() + start, n, scratch);
+    target_log_likelihoods(batch.data() + start, scratch,
+                           out.data() + start);
   }
 }
 
@@ -280,31 +286,25 @@ void SequenceModel::score_ranks_batched(
   NFV_CHECK(out.size() == batch.size(),
             "score_ranks_batched output size "
                 << out.size() << " != batch size " << batch.size());
+  pack_weights(std::min(batch_size, batch.size()), scratch);
   for (std::size_t start = 0; start < batch.size(); start += batch_size) {
     const std::size_t n = std::min(batch_size, batch.size() - start);
-    forward_probs(batch.data() + start, n, scratch);
+    forward_logits(batch.data() + start, n, scratch);
+    softmax(scratch.logits, scratch.probs);
     for (std::size_t r = 0; r < n; ++r) {
-      const auto target =
-          static_cast<std::size_t>(batch[start + r]->target);
-      NFV_CHECK(target < scratch.probs.cols(), "target outside vocabulary");
-      const float p_target = scratch.probs.at(r, target);
-      std::size_t rank = 0;
-      for (std::size_t c = 0; c < scratch.probs.cols(); ++c) {
-        if (scratch.probs.at(r, c) > p_target) ++rank;
-      }
-      out[start + r] = rank;
+      out[start + r] = target_rank(scratch.probs, r, batch[start + r]->target);
     }
   }
 }
 
 std::vector<double> SequenceModel::score_log_likelihood(
     const std::vector<const SeqExample*>& batch) const {
-  Matrix probs;
-  predict(batch, probs);
+  NFV_CHECK(!batch.empty(), "score_log_likelihood on empty batch");
+  InferenceScratch scratch;
+  pack_weights(batch.size(), scratch);
+  forward_logits(batch.data(), batch.size(), scratch);
   std::vector<double> out(batch.size());
-  for (std::size_t r = 0; r < batch.size(); ++r) {
-    out[r] = log_prob(probs, r, batch[r]->target);
-  }
+  target_log_likelihoods(batch.data(), scratch, out.data());
   return out;
 }
 
@@ -314,14 +314,7 @@ std::vector<std::size_t> SequenceModel::score_target_ranks(
   predict(batch, probs);
   std::vector<std::size_t> out(batch.size());
   for (std::size_t r = 0; r < batch.size(); ++r) {
-    const auto target = static_cast<std::size_t>(batch[r]->target);
-    NFV_CHECK(target < probs.cols(), "target outside vocabulary");
-    const float p_target = probs.at(r, target);
-    std::size_t rank = 0;
-    for (std::size_t c = 0; c < probs.cols(); ++c) {
-      if (probs.at(r, c) > p_target) ++rank;
-    }
-    out[r] = rank;
+    out[r] = target_rank(probs, r, batch[r]->target);
   }
   return out;
 }

@@ -67,7 +67,8 @@ class SequenceModel {
                Matrix& probs) const;
 
   /// Log-likelihood of each example's observed target under the model.
-  /// Serial reference path for the batched scorer below.
+  /// Reference path for the batched scorer below: the whole batch in one
+  /// forward pass, with fresh scratch.
   std::vector<double> score_log_likelihood(
       const std::vector<const SeqExample*>& batch) const;
 
@@ -80,28 +81,36 @@ class SequenceModel {
   /// Reusable buffers for the batched scoring path. One scratch belongs to
   /// exactly one calling thread; reusing it across calls means the fused
   /// forward loop performs no heap allocation once shapes have stabilized.
+  /// The packed weights are refilled by every scoring call, so nothing in
+  /// here outlives a weight update.
   struct InferenceScratch {
     std::vector<Matrix> inputs;    // k × (B × input_width)
     std::vector<LstmState> states; // one per LSTM layer
+    std::vector<std::vector<float>> packed_lstm;  // per layer, pack_transb
+    std::vector<float> packed_output;             // output head, pack_transb
     Matrix concat;                 // Lstm::step concat scratch
     Matrix gates;                  // Lstm::step gate scratch
     Matrix logits;
-    Matrix probs;
+    Matrix probs;                  // rank path only
+    std::vector<std::int32_t> targets;
   };
 
   /// Batched forward-only scoring: the log-likelihood of each example's
   /// observed target, processed in fused sub-batches of at most
-  /// `batch_size` rows. Built on Lstm::step/make_state, so no BPTT caches
-  /// are materialized. Every row's arithmetic is independent of its batch
-  /// neighbours (per-row embedding gather, per-row GEMM dot products,
-  /// per-row softmax), so results are bit-identical to
+  /// `batch_size` rows. Built on Lstm::step, so no BPTT caches are
+  /// materialized; each weight is packed once per call, and the target
+  /// log-likelihood comes straight from the logits (log_softmax_target)
+  /// without a probability matrix. Every row's arithmetic is independent
+  /// of its batch neighbours (per-row embedding gather, per-row GEMM dot
+  /// products, per-row log-softmax), so results are bit-identical to
   /// score_log_likelihood for ANY batch size and any thread count.
   /// `out.size()` must equal `batch.size()`.
   void score_batched(std::span<const SeqExample* const> batch,
                      std::size_t batch_size, InferenceScratch& scratch,
                      std::span<double> out) const;
 
-  /// As score_batched, but emits target ranks (DeepLog's top-k rule).
+  /// As score_batched, but emits target ranks (DeepLog's top-k rule) from
+  /// the softmax probabilities, as score_target_ranks does.
   void score_ranks_batched(std::span<const SeqExample* const> batch,
                            std::size_t batch_size, InferenceScratch& scratch,
                            std::span<std::size_t> out) const;
@@ -169,10 +178,20 @@ class SequenceModel {
                     std::vector<Matrix>& inputs,
                     std::vector<std::vector<std::int32_t>>* ids_steps) const;
 
+  /// Pack every fp32 GEMM weight into scratch for sub-batches of `rows`
+  /// rows. Leaves the images empty where packing cannot pay: below
+  /// kTransbPackMinRows rows, and in int8 mode (the sidecar is pre-packed).
+  void pack_weights(std::size_t rows, InferenceScratch& scratch) const;
+
   /// Forward one fused sub-batch through the stepped (cache-free) LSTM
-  /// stack into scratch.probs.
-  void forward_probs(const SeqExample* const* batch, std::size_t batch_size,
-                     InferenceScratch& scratch) const;
+  /// stack into scratch.logits, using the images pack_weights() left in
+  /// scratch.
+  void forward_logits(const SeqExample* const* batch, std::size_t batch_size,
+                      InferenceScratch& scratch) const;
+
+  /// out[r] = log p(batch[r]->target) for each row of scratch.logits.
+  void target_log_likelihoods(const SeqExample* const* batch,
+                              InferenceScratch& scratch, double* out) const;
 
   double forward_backward(const std::vector<const SeqExample*>& batch);
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "util/check.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace nfv::ml {
 namespace {
@@ -114,6 +119,89 @@ TEST(MatmulTransB, MatchesExplicitTranspose) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got.data()[i], expected.data()[i], 1e-4f);
   }
+}
+
+Matrix random_matrix(std::size_t rows, std::size_t cols,
+                     nfv::util::Rng& rng) {
+  Matrix m(rows, cols);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return m;
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// The packed transb kernel tiles 4 rows × 2 panels (plus a 4 × 1 tile for
+// an odd panel, scalar tail columns and row-at-a-time leftover rows).
+// Every output lane must keep the k-ascending chain of the single-row
+// kernel, so for every column count (whole, odd and ragged panel counts)
+// and row count (below, at and above the tile height) the packed product,
+// the unpacked product and each row computed alone agree bit for bit —
+// in both kernel modes and with the parallel row split.
+TEST(MatmulTransBPacked, BitIdenticalToSerialAndRowAtATimeKernels) {
+  const bool simd_default = simd_kernels_enabled();
+  nfv::util::Rng rng(17);
+  for (const bool simd : {true, false}) {
+    set_simd_kernels_enabled(simd);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      nfv::util::set_global_threads(threads);
+      for (const std::size_t cols_out : {8u, 16u, 24u, 88u, 133u}) {
+        for (const std::size_t inner : {5u, 33u, 70u}) {
+          const Matrix b = random_matrix(cols_out, inner, rng);
+          std::vector<float> packed;
+          pack_transb(b, packed);
+          for (const std::size_t rows : {1u, 4u, 7u, 64u}) {
+            const Matrix a = random_matrix(rows, inner, rng);
+            const std::string label =
+                "simd=" + std::to_string(simd) + " threads=" +
+                std::to_string(threads) + " C=" + std::to_string(cols_out) +
+                " K=" + std::to_string(inner) +
+                " rows=" + std::to_string(rows);
+            Matrix serial;
+            matmul_transb_serial(a, b, serial);
+            Matrix got;
+            matmul_transb_packed(a, b, packed, got);
+            EXPECT_TRUE(same_bits(got, serial)) << label;
+            matmul_transb(a, b, got);
+            EXPECT_TRUE(same_bits(got, serial)) << label;
+            // Each row alone runs the single-row kernel.
+            for (std::size_t r = 0; r < rows; ++r) {
+              Matrix one(1, inner);
+              std::memcpy(one.row(0), a.row(r), inner * sizeof(float));
+              Matrix row_out;
+              matmul_transb_serial(one, b, row_out);
+              ASSERT_EQ(std::memcmp(row_out.row(0), serial.row(r),
+                                    cols_out * sizeof(float)),
+                        0)
+                  << label << " row " << r;
+            }
+          }
+        }
+      }
+    }
+  }
+  nfv::util::set_global_threads(0);
+  set_simd_kernels_enabled(simd_default);
+}
+
+TEST(MatmulTransBPacked, EmptyImageFallsBackAndStaleImageThrows) {
+  nfv::util::Rng rng(23);
+  const Matrix b = random_matrix(16, 9, rng);
+  const Matrix a = random_matrix(12, 9, rng);
+  Matrix expected;
+  matmul_transb(a, b, expected);
+  Matrix got;
+  matmul_transb_packed(a, b, {}, got);
+  EXPECT_TRUE(same_bits(got, expected));
+
+  std::vector<float> packed;
+  pack_transb(random_matrix(8, 9, rng), packed);  // packed for another b
+  EXPECT_THROW(matmul_transb_packed(a, b, packed, got),
+               nfv::util::CheckError);
 }
 
 TEST(MatmulTransAAccumulate, AccumulatesGradientShape) {

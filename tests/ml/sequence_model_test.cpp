@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "ml/loss.h"
+#include "ml/lstm.h"
 #include "ml/optimizer.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -264,6 +267,103 @@ TEST(SequenceModel, RejectsBadWindows) {
   out_of_vocab.ids[0] = 99;
   EXPECT_THROW(model.score_log_likelihood({&out_of_vocab}),
                nfv::util::CheckError);
+}
+
+/// Runs `body` once per kernel mode (AVX2+FMA where the CPU has it, then
+/// baseline), restoring the default mode afterwards.
+template <typename Fn>
+void for_each_kernel_mode(const Fn& body) {
+  const bool simd_default = simd_kernels_enabled();
+  for (const bool simd : {true, false}) {
+    set_simd_kernels_enabled(simd);
+    body(simd_kernels_enabled());
+  }
+  set_simd_kernels_enabled(simd_default);
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Scoring steps the LSTM one timestep at a time; training runs the cached
+// full-sequence forward. Both must run the same GEMM, gate and cell
+// kernels, so the stepped hidden states equal the training ones bit for
+// bit — unpacked or packed, at batch sizes below and above the packing
+// threshold, with and without a scalar tail in the hidden width.
+TEST(LstmStep, UnrolledStepsEqualForwardHiddenStatesExactly) {
+  for_each_kernel_mode([](bool simd) {
+    for (const std::size_t hidden : {std::size_t{12}, std::size_t{16}}) {
+      for (const std::size_t batch : {std::size_t{3}, std::size_t{9}}) {
+        Rng rng(hidden * 100 + batch);
+        constexpr std::size_t kInput = 7;
+        constexpr std::size_t kSteps = 5;
+        Lstm lstm("l", kInput, hidden, rng);
+        std::vector<Matrix> inputs(kSteps, Matrix(batch, kInput));
+        for (Matrix& x : inputs) {
+          for (std::size_t i = 0; i < x.size(); ++i) {
+            x.data()[i] = static_cast<float>(rng.uniform(-2.0, 2.0));
+          }
+        }
+        const std::vector<Matrix> forward = lstm.forward(inputs);
+
+        LstmState plain = lstm.make_state(batch);
+        LstmState packed = lstm.make_state(batch);
+        std::vector<float> packed_weight;
+        lstm.pack_weight(packed_weight);
+        Matrix concat;
+        Matrix gates;
+        for (std::size_t t = 0; t < kSteps; ++t) {
+          lstm.step(inputs[t], plain);
+          lstm.step(inputs[t], packed, packed_weight, concat, gates);
+          const std::string label = "simd=" + std::to_string(simd) +
+                                    " hidden=" + std::to_string(hidden) +
+                                    " batch=" + std::to_string(batch) +
+                                    " t=" + std::to_string(t);
+          EXPECT_TRUE(same_bits(plain.h, forward[t])) << label;
+          EXPECT_TRUE(same_bits(packed.h, forward[t])) << label;
+        }
+      }
+    }
+  });
+}
+
+// The fused target log-likelihood computes log softmax straight from the
+// logits. It must agree with log(softmax) and clamp where log_prob does.
+TEST(LogSoftmaxTarget, MatchesLogOfSoftmaxAndClampsAtMinProb) {
+  for_each_kernel_mode([](bool simd) {
+    Rng rng(41);
+    // 13 and 133 columns leave a ragged (masked) tail after 8-wide steps.
+    for (const std::size_t cols : {std::size_t{1}, std::size_t{13},
+                                   std::size_t{64}, std::size_t{133}}) {
+      Matrix logits(6, cols);
+      for (std::size_t i = 0; i < logits.size(); ++i) {
+        logits.data()[i] = static_cast<float>(rng.uniform(-8.0, 8.0));
+      }
+      Matrix probs;
+      softmax(logits, probs);
+      std::vector<std::int32_t> targets(logits.rows());
+      for (std::size_t r = 0; r < logits.rows(); ++r) {
+        targets[r] = static_cast<std::int32_t>(rng.uniform_index(cols));
+      }
+      std::vector<double> fused(logits.rows());
+      log_softmax_targets(logits, targets, fused);
+      for (std::size_t r = 0; r < logits.rows(); ++r) {
+        EXPECT_NEAR(fused[r], log_prob(probs, r, targets[r]), 1e-6)
+            << "simd=" << simd << " cols=" << cols << " row " << r;
+        EXPECT_EQ(fused[r], log_softmax_target(logits, r, targets[r]));
+      }
+    }
+
+    // A target 100 nats below the best class is floored at log(1e-12).
+    Matrix far(1, 20, 0.0f);
+    far.at(0, 3) = 100.0f;
+    EXPECT_EQ(log_softmax_target(far, 0, 5), std::log(1e-12));
+    EXPECT_DOUBLE_EQ(log_softmax_target(far, 0, 5, 1e-50), -100.0);
+    EXPECT_NEAR(log_softmax_target(far, 0, 3), 0.0, 1e-6);
+    EXPECT_THROW(log_softmax_target(far, 0, 20), nfv::util::CheckError);
+    EXPECT_THROW(log_softmax_target(far, 0, -1), nfv::util::CheckError);
+  });
 }
 
 TEST(NormalizeDt, MonotoneAndBounded) {

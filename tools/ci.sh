@@ -17,7 +17,11 @@
 # cross-vPE template dedup, copy-on-write divergence) and run in both
 # the regular and TSan legs. The quantized-scoring leg runs the quant-labelled
 # tests, the bench_scoring_throughput --smoke rank-agreement /
-# tier-bit-identity gates, and an ASan build of the int8 kernels.
+# tier-bit-identity gates, and an ASan build of the int8 kernels. The
+# baseline-kernel leg re-runs the scoring contracts (batch-size/thread
+# invariance, fused vs serial reference, step vs training forward) with
+# NFVPRED_NO_AVX2=1, the mode a CPU without AVX2+FMA runs. The ASan leg
+# also covers scoring across decades-long gaps between log lines.
 #
 # Usage: tools/ci.sh [jobs]
 set -euo pipefail
@@ -57,12 +61,17 @@ ctest --test-dir "$ROOT/build" -L quant --output-on-failure -j "$JOBS"
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_scoring_throughput
 "$ROOT/build/bench/bench_scoring_throughput" --smoke
 
-echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook) + int8 kernels ==="
+echo "=== baseline kernels: scoring contracts with NFVPRED_NO_AVX2=1 ==="
+NFVPRED_NO_AVX2=1 ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS" \
+  -R 'BatchInvariance|BatchPlanner|SequenceModel|LstmStep|LogSoftmaxTarget|MatmulTransBPacked'
+
+echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook) + int8 kernels + scoring gaps ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DNFVPRED_SANITIZE=address
-cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_quant
+cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_quant --target test_score_gap
 "$ROOT/build-asan/tests/test_logproc"
 "$ROOT/build-asan/tests/test_logproc_alloc"
 "$ROOT/build-asan/tests/test_quant"
+"$ROOT/build-asan/tests/test_score_gap"
 
 echo "=== continual learning: online retrain + hot swap + adapt safety ==="
 ctest --test-dir "$ROOT/build" -L continual --output-on-failure -j "$JOBS"

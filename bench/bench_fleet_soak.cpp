@@ -25,6 +25,12 @@
 // (template id, vpe, line index) via TemplateCatalog::render_seeded, so
 // the serial replay never needs the multi-million-line workload in memory.
 //
+// Every --json row is soaked 3 times and records nproc, workers and the
+// repeat count; timings and latencies are given as min and median over
+// the repeats (lines_per_sec from the fastest run, lines_per_sec_median
+// from the median one). The latency columns measure queue fill behind a
+// saturating producer, not the system's warning latency at a set load.
+//
 // Modes:
 //   --json FILE   full soak (1k and 10k vPE rows) → BENCH_soak.json
 //   --smoke       fast CI gate: small fleet; asserts warning parity with
@@ -39,6 +45,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_json.h"
@@ -185,7 +192,7 @@ const char* sharing_name(Sharing sharing) {
 }
 
 struct SoakResult {
-  double lines_per_sec = 0.0;
+  double seconds = 0.0;  // submit -> flush soak window
   std::size_t total_lines = 0;
   std::size_t warnings = 0;
   std::vector<core::StreamWarning> merged;  // per-vPE canonical order
@@ -229,7 +236,7 @@ SoakResult run_soak(const Workload& w, const core::AnomalyDetector& detector,
 
   SoakResult r;
   r.total_lines = vpes * lines_per_vpe;
-  r.lines_per_sec = static_cast<double>(r.total_lines) / elapsed.count();
+  r.seconds = elapsed.count();
   const core::RuntimeStatsSnapshot snap = ingest.snapshot();
   r.memory = snap.memory;
   if (!snap.shards.empty()) {
@@ -292,6 +299,22 @@ bool same_warnings(const std::vector<core::StreamWarning>& serial,
   return true;
 }
 
+/// Min and median of one measurement over a row's repeats.
+struct Spread {
+  double min = 0.0;
+  double median = 0.0;
+};
+
+Spread spread(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t n = xs.size();
+  return {xs.front(),
+          n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2])};
+}
+
+/// One configuration, soaked `repeats` times. `result` is the first run
+/// (memory and warnings do not vary between runs); the timings vary and
+/// are summarized over all runs.
 struct Row {
   std::size_t vpes = 0;
   std::size_t lines_per_vpe = 0;
@@ -300,7 +323,15 @@ struct Row {
   bool quantize = false;
   bool parity_checked = false;
   SoakResult result;
+  Spread seconds;
+  Spread latency_p50_us;
+  Spread latency_p99_us;
+  Spread latency_p999_us;
 };
+
+double lines_per_sec(const Row& row, double seconds) {
+  return static_cast<double>(row.result.total_lines) / seconds;
+}
 
 /// Per-vPE bytes of one component of the row's footprint; shared and
 /// model bytes are amortized over the fleet (counted once, divided by
@@ -324,15 +355,26 @@ double model_bytes_per_vpe(const Row& row) {
                                    : row.result.model_bytes_fp32);
 }
 
-void write_row(util::JsonWriter& w, const Row& row) {
+void write_spread(util::JsonWriter& w, const std::string& name,
+                  const Spread& s) {
+  w.kv(name + "_min", s.min);
+  w.kv(name + "_median", s.median);
+}
+
+void write_row(util::JsonWriter& w, const Row& row, std::size_t repeats) {
   w.begin_object();
   w.kv("vpes", row.vpes);
   w.kv("lines_per_vpe", row.lines_per_vpe);
   w.kv("total_lines", row.result.total_lines);
+  w.kv("nproc", std::max(1u, std::thread::hardware_concurrency()));
   w.kv("workers", row.workers);
+  w.kv("repeats", repeats);
   w.kv("sharing", sharing_name(row.sharing));
   w.kv("quantize", row.quantize);
-  w.kv("lines_per_sec", row.result.lines_per_sec);
+  write_spread(w, "seconds", row.seconds);
+  // Throughput of the fastest run (min seconds) and of the median run.
+  w.kv("lines_per_sec", lines_per_sec(row, row.seconds.min));
+  w.kv("lines_per_sec_median", lines_per_sec(row, row.seconds.median));
   w.kv("bytes_per_vpe", row.result.memory.bytes_per_vpe);
   // The bytes/vPE breakdown: private tree state vs the amortized shared
   // structures (arena + forest) vs the amortized model.
@@ -347,9 +389,9 @@ void write_row(util::JsonWriter& w, const Row& row) {
   w.kv("tree_bytes_max", row.result.memory.tree_bytes_max);
   w.kv("model_bytes_fp32", row.result.model_bytes_fp32);
   w.kv("model_bytes_quantized", row.result.model_bytes_quantized);
-  w.kv("latency_p50_us", row.result.latency_p50_us);
-  w.kv("latency_p99_us", row.result.latency_p99_us);
-  w.kv("latency_p999_us", row.result.latency_p999_us);
+  write_spread(w, "latency_p50_us", row.latency_p50_us);
+  write_spread(w, "latency_p99_us", row.latency_p99_us);
+  write_spread(w, "latency_p999_us", row.latency_p999_us);
   w.kv("warnings", row.result.warnings);
   w.kv("serial_parity_checked", row.parity_checked);
   w.end_object();
@@ -359,12 +401,12 @@ void log_row(const Row& row) {
   std::cerr << "vpes=" << row.vpes << " sharing=" << sharing_name(row.sharing)
             << (row.quantize ? " quantized" : "")
             << " workers="
-            << row.workers << ": " << row.result.lines_per_sec << " lines/s, "
-            << row.result.memory.bytes_per_vpe << " bytes/vPE ("
-            << tree_bytes_per_vpe(row) << " tree + "
+            << row.workers << ": " << lines_per_sec(row, row.seconds.median)
+            << " lines/s (median), " << row.result.memory.bytes_per_vpe
+            << " bytes/vPE (" << tree_bytes_per_vpe(row) << " tree + "
             << shared_bytes_per_vpe(row) << " shared), p99="
-            << row.result.latency_p99_us << "us, p999="
-            << row.result.latency_p999_us << "us, " << row.result.warnings
+            << row.latency_p99_us.median << "us, p999="
+            << row.latency_p999_us.median << "us, " << row.result.warnings
             << " warnings\n";
 }
 
@@ -432,6 +474,7 @@ int run_smoke() {
 }
 
 int run_json_mode(const std::string& path, std::size_t vpes_override) {
+  constexpr std::size_t kRepeats = 3;
   const Workload w = build_workload();
 
   struct Scale {
@@ -471,19 +514,32 @@ int run_json_mode(const std::string& path, std::size_t vpes_override) {
       row.workers = workers;
       row.sharing = sharing;
       row.quantize = quantize;
-      row.result = run_soak(w, det, scale.vpes, scale.lines_per_vpe, workers,
-                            sharing);
-      // Quantized scoring legitimately shifts scores; parity is pinned on
-      // the fp32 rows (the quant tier has its own rank-agreement gate).
-      if (!quantize) {
-        row.parity_checked = true;
-        parity_ok =
-            same_warnings(serial, row.result.merged,
-                          "vpes=" + std::to_string(scale.vpes) + " sharing=" +
-                              sharing_name(sharing) +
-                              " workers=" + std::to_string(workers)) &&
-            parity_ok;
+      std::vector<double> seconds, p50, p99, p999;
+      for (std::size_t r = 0; r < kRepeats; ++r) {
+        SoakResult run = run_soak(w, det, scale.vpes, scale.lines_per_vpe,
+                                  workers, sharing);
+        seconds.push_back(run.seconds);
+        p50.push_back(run.latency_p50_us);
+        p99.push_back(run.latency_p99_us);
+        p999.push_back(run.latency_p999_us);
+        // Quantized scoring legitimately shifts scores; parity is pinned
+        // on every fp32 run (the quant tier has its own rank-agreement
+        // gate).
+        if (!quantize) {
+          row.parity_checked = true;
+          parity_ok = same_warnings(serial, run.merged,
+                                    "vpes=" + std::to_string(scale.vpes) +
+                                        " sharing=" + sharing_name(sharing) +
+                                        " workers=" +
+                                        std::to_string(workers)) &&
+                      parity_ok;
+        }
+        if (r == 0) row.result = std::move(run);
       }
+      row.seconds = spread(seconds);
+      row.latency_p50_us = spread(p50);
+      row.latency_p99_us = spread(p99);
+      row.latency_p999_us = spread(p999);
       log_row(row);
       rows.push_back(std::move(row));
     };
@@ -535,7 +591,7 @@ int run_json_mode(const std::string& path, std::size_t vpes_override) {
   jw.kv("model_vocab", w.vocab);
   jw.kv("threshold", w.threshold);
   jw.key("rows").begin_array();
-  for (const Row& row : rows) write_row(jw, row);
+  for (const Row& row : rows) write_row(jw, row, kRepeats);
   jw.end_array();
   jw.end_object();
   return bench::write_json_file(path, jw) ? 0 : 1;

@@ -113,7 +113,7 @@ void AsyncIngest::start() {
     // The trainer's private lineage: it fine-tunes THIS copy each round
     // and installs copies of it, so its teacher can never be freed out
     // from under it by a swap.
-    lineage_ = lstm->clone_as_teacher();
+    lineage_ = std::make_unique<LstmDetector>(*lstm);
     tap_queue_ = std::make_unique<nfv::util::MpscQueue<TapSample>>(
         config_.retrain_tap_capacity);
   }
@@ -138,11 +138,15 @@ bool AsyncIngest::try_push_item(std::size_t shard, Item&& item) {
   NFV_CHECK(started_ && !stopped_, "submit outside start()..stop()");
   NFV_CHECK(shard < shards_.size(), "unknown shard " << shard);
   if (config_.instrument) item.enqueue_ns = now_ns();
+  // Count the line before the push, as push_item does: once pushed, a
+  // worker may score it at once, and lines_scored must never run ahead
+  // of lines_submitted. A rejected line is uncounted.
+  lines_submitted_.fetch_add(1, std::memory_order_relaxed);
   if (!workers_[shards_[shard]->worker]->queue->try_push(std::move(item))) {
+    lines_submitted_.fetch_sub(1, std::memory_order_relaxed);
     rejected_submits_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  lines_submitted_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -348,8 +352,11 @@ logproc::SignatureTree& AsyncIngest::mutable_tree(std::size_t shard) {
 
 AsyncIngestStats AsyncIngest::stats() const {
   AsyncIngestStats stats;
+  // lines_scored first, with acquire: it pairs with the flush's release
+  // add, so every line it counts was submitted (and counted) before, and
+  // the later lines_submitted load sees at least those lines.
+  stats.lines_scored = lines_scored_.load(std::memory_order_acquire);
   stats.lines_submitted = lines_submitted_.load(std::memory_order_relaxed);
-  stats.lines_scored = lines_scored_.load(std::memory_order_relaxed);
   stats.flushes = flushes_.load(std::memory_order_relaxed);
   stats.warnings_published =
       warnings_published_.load(std::memory_order_relaxed);
@@ -662,7 +669,7 @@ void AsyncIngest::worker_loop(std::size_t index) {
     if (staged.empty()) return;
     group.flush();
     flushes_.fetch_add(1, std::memory_order_relaxed);
-    lines_scored_.fetch_add(staged.size(), std::memory_order_relaxed);
+    lines_scored_.fetch_add(staged.size(), std::memory_order_release);
     ++flushes_local;
     const std::uint64_t scored = instrument ? now_ns() : 0;
     for (const auto& [local, submitted] : staged) {
@@ -940,7 +947,7 @@ void AsyncIngest::trainer_loop() {
         if (take_adapt_path) {
           adapt_rounds_.fetch_add(1, std::memory_order_relaxed);
         }
-        std::unique_ptr<LstmDetector> shadow = lineage_->clone_as_teacher();
+        auto shadow = std::make_unique<LstmDetector>(*lineage_);
         const AnomalyDetector* raw = shadow.get();
         std::lock_guard<std::mutex> control(control_mu_);
         if (!stopped_) {

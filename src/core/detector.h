@@ -87,6 +87,14 @@ class AnomalyDetector {
     return out;
   }
 
+  /// Independent copy of the current model, for read-only scoring while
+  /// the original keeps training (run_pipeline scores each month on a
+  /// month-start clone while the live detector runs that month's update).
+  /// Scores of the clone equal the original's; state only training reads
+  /// need not follow (LstmDetector drops its persistent optimizer). The
+  /// five library detectors implement it; the default throws CheckError.
+  virtual std::unique_ptr<AnomalyDetector> clone() const;
+
   virtual bool trained() const = 0;
   virtual DetectorKind kind() const = 0;
   virtual EventGranularity granularity() const = 0;

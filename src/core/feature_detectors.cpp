@@ -251,6 +251,11 @@ std::vector<ScoredEvent> PcaDetector::score(
   return out;
 }
 
+std::unique_ptr<AnomalyDetector> AnomalyDetector::clone() const {
+  NFV_CHECK(false, to_string(kind()) << " detector cannot be cloned");
+  return nullptr;
+}
+
 // ------------------------------------------------------------- factory ----
 
 const char* to_string(DetectorKind kind) {

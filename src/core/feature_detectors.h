@@ -45,6 +45,9 @@ class AutoencoderDetector final : public AnomalyDetector {
   void adapt(std::span<const LogView> streams, std::size_t vocab) override;
   std::vector<ScoredEvent> score(LogView logs,
                                  std::size_t vocab) const override;
+  std::unique_ptr<AnomalyDetector> clone() const override {
+    return std::make_unique<AutoencoderDetector>(*this);
+  }
   bool trained() const override { return model_.has_value(); }
   DetectorKind kind() const override { return DetectorKind::kAutoencoder; }
   EventGranularity granularity() const override {
@@ -79,6 +82,9 @@ class OcSvmDetector final : public AnomalyDetector {
   void adapt(std::span<const LogView> streams, std::size_t vocab) override;
   std::vector<ScoredEvent> score(LogView logs,
                                  std::size_t vocab) const override;
+  std::unique_ptr<AnomalyDetector> clone() const override {
+    return std::make_unique<OcSvmDetector>(*this);
+  }
   bool trained() const override { return model_.trained(); }
   DetectorKind kind() const override { return DetectorKind::kOcSvm; }
   EventGranularity granularity() const override {
@@ -111,6 +117,9 @@ class PcaDetector final : public AnomalyDetector {
   void adapt(std::span<const LogView> streams, std::size_t vocab) override;
   std::vector<ScoredEvent> score(LogView logs,
                                  std::size_t vocab) const override;
+  std::unique_ptr<AnomalyDetector> clone() const override {
+    return std::make_unique<PcaDetector>(*this);
+  }
   bool trained() const override { return model_.trained(); }
   DetectorKind kind() const override { return DetectorKind::kPca; }
   EventGranularity granularity() const override {

@@ -32,6 +32,9 @@ class HmmDetector final : public AnomalyDetector {
   void adapt(std::span<const LogView> streams, std::size_t vocab) override;
   std::vector<ScoredEvent> score(LogView logs,
                                  std::size_t vocab) const override;
+  std::unique_ptr<AnomalyDetector> clone() const override {
+    return std::make_unique<HmmDetector>(*this);
+  }
   bool trained() const override { return model_.trained(); }
   DetectorKind kind() const override { return DetectorKind::kHmm; }
   EventGranularity granularity() const override {

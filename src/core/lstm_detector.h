@@ -89,13 +89,6 @@ class LstmDetector final : public AnomalyDetector {
   /// follow the copy (the student's next train_epochs starts it fresh).
   LstmDetector(const LstmDetector& other);
 
-  /// Heap-allocated teacher → student copy: the clone the online-retrain
-  /// trainer fine-tunes and installs while the original keeps scoring.
-  /// Weights, config (including quantize mode) and RNG state follow; the
-  /// persistent optimizer does not (same contract as the copy ctor).
-  std::unique_ptr<LstmDetector> clone_as_teacher() const {
-    return std::make_unique<LstmDetector>(*this);
-  }
   LstmDetector& operator=(const LstmDetector& other);
   LstmDetector(LstmDetector&&) = default;
   LstmDetector& operator=(LstmDetector&&) = default;
@@ -127,6 +120,11 @@ class LstmDetector final : public AnomalyDetector {
   /// Resident model memory (fp32 weights + int8 sidecar), zeros before fit.
   ModelMemoryStats model_memory() const override;
 
+  /// Weights, config (including quantize mode) and RNG state follow; the
+  /// persistent optimizer does not (same contract as the copy ctor).
+  std::unique_ptr<AnomalyDetector> clone() const override {
+    return std::make_unique<LstmDetector>(*this);
+  }
   bool trained() const override { return model_.has_value(); }
   DetectorKind kind() const override { return DetectorKind::kLstm; }
   EventGranularity granularity() const override {

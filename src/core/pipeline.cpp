@@ -1,7 +1,9 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <numeric>
 
 #include "util/check.h"
 #include "util/stats.h"
@@ -39,6 +41,10 @@ struct GroupState {
   double threshold = 0.0;
 };
 
+/// One fork-join round of run_pipeline: pool.parallel_invoke runs every
+/// task once, each claimed on its own.
+using Tasks = std::vector<std::function<void()>>;
+
 /// Normal (training) logs of one vPE in a window: ticket vicinity removed.
 std::vector<ParsedLog> normal_logs(
     const ParsedFleet& parsed,
@@ -50,30 +56,66 @@ std::vector<ParsedLog> normal_logs(
       window, exclusions[static_cast<std::size_t>(vpe)]);
 }
 
-/// Set the group's operating threshold to a quantile of the detector's
-/// scores on (normal) calibration streams. All member streams are scored
-/// in one batched score_streams call.
-void calibrate_threshold(GroupState& group,
-                         const std::vector<std::vector<ParsedLog>>& streams,
-                         double quantile_q) {
-  // Cap calibration work: the quantile is stable well below full coverage.
-  constexpr std::size_t kMaxCalibrationLogsPerStream = 3000;
-  std::vector<LogView> views;
-  views.reserve(streams.size());
-  for (const std::vector<ParsedLog>& stream : streams) {
-    const std::size_t take =
-        std::min(stream.size(), kMaxCalibrationLogsPerStream);
-    views.push_back(LogView{stream.data() + (stream.size() - take), take});
+/// Threshold recalibration spread over the pool one stream at a time. A
+/// group's operating threshold becomes a quantile of its detector's
+/// scores on the group's calibration streams, concatenated in stream
+/// order. Scores are batch-invariant, so this is the quantile one batched
+/// call over all of the group's streams gives.
+class Calibration {
+ public:
+  /// Cap on calibration work: the quantile is stable well below full
+  /// coverage, so only each stream's newest logs are scored.
+  static constexpr std::size_t kMaxLogsPerStream = 3000;
+
+  /// Queue one calibration stream of `group`; a group's streams are
+  /// queued in order. The stream must outlive apply().
+  void add(std::size_t group, LogView stream) {
+    streams_.push_back({group, stream});
   }
-  const std::vector<std::vector<ScoredEvent>> events_by_stream =
-      group.detector->score_streams(views, 0);
-  std::vector<double> scores;
-  for (const std::vector<ScoredEvent>& events : events_by_stream) {
-    for (const ScoredEvent& event : events) scores.push_back(event.score);
+
+  /// Append one scoring task per queued stream, scored by its group's
+  /// entry of `models`; no model may change until the tasks have run.
+  void schedule(std::vector<const AnomalyDetector*> models, Tasks& tasks) {
+    models_ = std::move(models);
+    scores_.assign(streams_.size(), {});
+    for (std::size_t i = 0; i < streams_.size(); ++i) {
+      tasks.push_back([this, i] {
+        const auto& [group, stream] = streams_[i];
+        const std::size_t take =
+            std::min(stream.size(), kMaxLogsPerStream);
+        for (const ScoredEvent& event :
+             models_[group]->score(stream.last(take), 0)) {
+          scores_[i].push_back(event.score);
+        }
+      });
+    }
   }
-  if (scores.empty()) return;  // keep the previous threshold
-  group.threshold = nfv::util::quantile(scores, quantile_q);
-}
+
+  /// Set every calibrated group's threshold; a group whose streams gave
+  /// no score keeps its previous one.
+  void apply(std::vector<GroupState>& groups, double quantile_q) {
+    std::vector<std::vector<double>> by_group(groups.size());
+    for (std::size_t i = 0; i < streams_.size(); ++i) {
+      std::vector<double>& scores = by_group[streams_[i].group];
+      scores.insert(scores.end(), scores_[i].begin(), scores_[i].end());
+    }
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      if (by_group[g].empty()) continue;
+      groups[g].threshold = nfv::util::quantile(by_group[g], quantile_q);
+    }
+    streams_.clear();
+    scores_.clear();
+  }
+
+ private:
+  struct Stream {
+    std::size_t group;
+    LogView logs;
+  };
+  std::vector<Stream> streams_;
+  std::vector<const AnomalyDetector*> models_;
+  std::vector<std::vector<double>> scores_;
+};
 
 /// Merge per-month ticket detections (a ticket straddling two months is
 /// mapped in both) into one row per ticket.
@@ -120,12 +162,21 @@ PipelineResult run_pipeline(const simnet::FleetTrace& trace,
             "initial_train_months must leave at least one test month");
   Rng rng(options.seed);
 
-  // Fork-join pool for the per-group / per-vPE fan-out. Determinism for
-  // every thread count holds because (a) each group owns its detector and
-  // an explicitly split RNG stream (seed + 100·(g+1)), (b) every parallel
-  // task writes only its own pre-sized output slot, and (c) per-group
-  // results are collected in group order before any cross-group merge.
+  // Fork-join pool. Work is spread per vPE stream, not per group: every
+  // scoring and calibration pass is one task per (group, member stream),
+  // and only fit/adapt/update, which train one group's model, stay one
+  // task per group. Determinism for every thread count holds because
+  // (a) each group owns its detector and an explicitly split RNG stream
+  // (seed + 100·(g+1)), (b) scores are batch-invariant, so a stream scored
+  // alone equals its slot of a fused per-group call, (c) every task
+  // writes only its own pre-sized slot, and (d) slots are merged in
+  // group-major order after each round.
   nfv::util::ThreadPool pool(options.threads);
+  Tasks tasks;
+  const auto run = [&pool, &tasks] {
+    pool.parallel_invoke(tasks);
+    tasks.clear();
+  };
 
   PipelineResult result;
 
@@ -147,16 +198,13 @@ PipelineResult run_pipeline(const simnet::FleetTrace& trace,
         trace, static_cast<std::int32_t>(v), options.exclusion_margin);
   }
 
-  // --- Group construction + initial fit. ---
+  // --- Group construction. ---
   std::vector<GroupState> groups(result.clustering.num_groups);
   for (std::size_t v = 0; v < n; ++v) {
     groups[static_cast<std::size_t>(result.clustering.group_of_vpe[v])]
         .members.push_back(static_cast<std::int32_t>(v));
   }
-  const std::size_t vocab_initial =
-      parsed.vocab_at(options.initial_train_months);
-  pool.parallel_for(0, groups.size(), [&](std::size_t g) {
-    GroupState& group = groups[g];
+  for (std::size_t g = 0; g < groups.size(); ++g) {
     if (options.detector == DetectorKind::kLstm) {
       LstmDetectorConfig config =
           options.lstm_config.value_or(LstmDetectorConfig{});
@@ -164,20 +212,66 @@ PipelineResult run_pipeline(const simnet::FleetTrace& trace,
       config.persistent_optimizer = options.persistent_optimizer;
       if (options.quantize) config.quantize = true;
       config.seed = options.seed + 100 * (g + 1);
-      group.detector = std::make_unique<LstmDetector>(config);
+      groups[g].detector = std::make_unique<LstmDetector>(config);
     } else {
-      group.detector =
+      groups[g].detector =
           make_detector(options.detector, options.seed + 100 * (g + 1));
     }
-    std::vector<std::vector<ParsedLog>> train_streams;
-    for (std::int32_t v : group.members) {
-      train_streams.push_back(
-          normal_logs(parsed, exclusions, v, SimTime::epoch(), train_end));
+  }
+  // Training tasks start largest group first, so the longest one never
+  // waits behind shorter ones.
+  std::vector<std::size_t> by_size(groups.size());
+  std::iota(by_size.begin(), by_size.end(), std::size_t{0});
+  std::stable_sort(by_size.begin(), by_size.end(),
+                   [&groups](std::size_t a, std::size_t b) {
+                     return groups[a].members.size() >
+                            groups[b].members.size();
+                   });
+
+  // Each vPE's normal logs in the current training window, filled by its
+  // group's training task. Once every group has trained they move to
+  // `calibrating`: a new model is calibrated on its training data in the
+  // next round that scores with it, the next month's first.
+  std::vector<std::vector<ParsedLog>> normal(n);
+  std::vector<std::vector<ParsedLog>> calibrating;
+  const auto fill_normal = [&](std::size_t g, SimTime begin, SimTime end) {
+    std::vector<LogView> views;
+    for (std::int32_t v : groups[g].members) {
+      std::vector<ParsedLog>& slot = normal[static_cast<std::size_t>(v)];
+      slot = normal_logs(parsed, exclusions, v, begin, end);
+      views.emplace_back(slot);
     }
-    std::vector<LogView> views(train_streams.begin(), train_streams.end());
-    group.detector->fit(views, vocab_initial);
-    calibrate_threshold(group, train_streams, options.threshold_quantile);
-  });
+    return views;
+  };
+  Calibration calibration;
+  const auto queue_calibration = [&] {
+    calibrating = std::move(normal);
+    normal.assign(n, {});
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      for (std::int32_t v : groups[g].members) {
+        calibration.add(g, calibrating[static_cast<std::size_t>(v)]);
+      }
+    }
+  };
+  const auto live_models = [&groups] {
+    std::vector<const AnomalyDetector*> models;
+    for (const GroupState& group : groups) {
+      models.push_back(group.detector.get());
+    }
+    return models;
+  };
+
+  // --- Initial fit. ---
+  const std::size_t vocab_initial =
+      parsed.vocab_at(options.initial_train_months);
+  for (std::size_t g : by_size) {
+    tasks.push_back([&, g] {
+      groups[g].detector->fit(fill_normal(g, SimTime::epoch(), train_end),
+                              vocab_initial);
+    });
+  }
+  run();
+  queue_calibration();
 
   // --- Rolling monthly evaluation. ---
   result.streams.resize(n);
@@ -189,26 +283,33 @@ PipelineResult run_pipeline(const simnet::FleetTrace& trace,
   }
   std::vector<TicketDetection> raw_detections;
 
-  // Flat (group, member) task list in the canonical group-major order —
+  // Flat (group, member) task list in the canonical group-major order:
   // per-task result slots collected in list order reproduce the serial
-  // iteration order. Because members are appended group-major, group g's
-  // tasks occupy the contiguous range [group_task_begin[g],
-  // group_task_begin[g+1]) — the unit the batched scorer consumes.
+  // iteration order.
   struct MemberTask {
     std::size_t group;
     std::int32_t vpe;
   };
   std::vector<MemberTask> member_tasks;
-  std::vector<std::size_t> group_task_begin(groups.size() + 1, 0);
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    group_task_begin[g] = member_tasks.size();
     for (std::int32_t v : groups[g].members) member_tasks.push_back({g, v});
   }
-  group_task_begin[groups.size()] = member_tasks.size();
+  const MappingConfig group_mapping = adapt_mapping_for(
+      groups.front().detector->granularity(), options.mapping);
+  const auto score_slice = [&parsed](const AnomalyDetector& detector,
+                                     std::int32_t vpe, SimTime begin,
+                                     SimTime end) {
+    const std::vector<ParsedLog> logs = logproc::slice_time(
+        parsed.logs_by_vpe[static_cast<std::size_t>(vpe)], begin, end);
+    return detector.score(logs, parsed.vocab());
+  };
 
   for (int month = options.initial_train_months; month < months; ++month) {
     const SimTime month_begin = nfv::util::month_start(month);
     const SimTime month_end = nfv::util::month_start(month + 1);
+    // The last month has nothing left to score after it: no update.
+    const bool update = month + 1 < months;
+    const std::size_t vocab_next = parsed.vocab_at(month + 1);
 
     // The paper's fast adaptation kicks in one week after a software
     // update: if any member of a group is updated this month, the
@@ -238,100 +339,115 @@ PipelineResult run_pipeline(const simnet::FleetTrace& trace,
       plan.phase1_end = plan.split_month ? plan.adapt_at : month_end;
     }
 
-    // Phase 1 — batched per-group scoring up to the adaptation point (or
-    // the whole month): all member streams of a group go through ONE
-    // score_streams call, which packs their windows into fused forward
-    // batches (core/batch_planner.h) instead of scoring window-by-window
-    // per vPE. Detectors are strictly read-only while scoring; every
-    // group writes only its own members' pre-sized slots, so results stay
-    // bit-identical for any thread count and any inference batch size.
+    // Round 1: with each group's model as it stands at month start, score
+    // every member stream up to the group's adaptation point (or the whole
+    // month), and calibrate the model on the data it was last trained on.
+    // A group that does not adapt this month also runs its end-of-month
+    // update() in this round, training the live detector in place while
+    // the round's other tasks read a month-start clone. The update tasks
+    // go first, largest group first.
+    std::vector<std::unique_ptr<AnomalyDetector>> snapshots(groups.size());
+    std::vector<const AnomalyDetector*> month_models = live_models();
+    if (update) {
+      for (std::size_t g : by_size) {
+        if (plans[g].split_month) continue;
+        snapshots[g] = groups[g].detector->clone();
+        month_models[g] = snapshots[g].get();
+        tasks.push_back([&, g] {
+          groups[g].detector->update(
+              fill_normal(g, month_begin, month_end), vocab_next);
+        });
+      }
+    }
+    calibration.schedule(month_models, tasks);
     std::vector<std::vector<ScoredEvent>> events_by_task(
         member_tasks.size());
-    pool.parallel_for(0, groups.size(), [&](std::size_t g) {
-      const std::size_t t0 = group_task_begin[g];
-      const std::size_t t1 = group_task_begin[g + 1];
-      std::vector<std::vector<ParsedLog>> logs(t1 - t0);
-      for (std::size_t t = t0; t < t1; ++t) {
-        logs[t - t0] = logproc::slice_time(
-            parsed.logs_by_vpe[static_cast<std::size_t>(
-                member_tasks[t].vpe)],
-            month_begin, plans[g].phase1_end);
-      }
-      std::vector<LogView> views(logs.begin(), logs.end());
-      std::vector<std::vector<ScoredEvent>> events =
-          groups[g].detector->score_streams(views, parsed.vocab());
-      for (std::size_t t = t0; t < t1; ++t) {
-        events_by_task[t] = std::move(events[t - t0]);
-      }
-    });
+    for (std::size_t t = 0; t < member_tasks.size(); ++t) {
+      tasks.push_back([&, t] {
+        const MemberTask& task = member_tasks[t];
+        events_by_task[t] =
+            score_slice(*month_models[task.group], task.vpe, month_begin,
+                        plans[task.group].phase1_end);
+      });
+    }
+    run();
+    calibration.apply(groups, options.threshold_quantile);
+    snapshots.clear();
 
-    // Adaptation — parallel per group; the only phase that mutates a
-    // detector, and each group mutates only its own.
-    pool.parallel_for(0, groups.size(), [&](std::size_t g) {
-      const GroupMonthPlan& plan = plans[g];
-      if (!plan.split_month) return;
-      GroupState& group = groups[g];
-      // Adapt on ~1 week of post-update data, then score the rest of the
-      // month with the adapted model.
-      std::vector<std::vector<ParsedLog>> adapt_streams;
-      for (const auto& [v, u] : plan.updated_members) {
-        adapt_streams.push_back(logproc::slice_time(
-            parsed.logs_by_vpe[static_cast<std::size_t>(v)], u,
-            u + options.adapt_span));
+    // Split months, per group: adapt on ~1 week of post-update data,
+    // recalibrate on that data (what operations has), and score the rest
+    // of the month with the adapted model.
+    std::vector<std::vector<std::vector<ParsedLog>>> adapt_streams(
+        groups.size());
+    for (std::size_t g : by_size) {
+      if (!plans[g].split_month) continue;
+      tasks.push_back([&, g] {
+        for (const auto& [v, u] : plans[g].updated_members) {
+          adapt_streams[g].push_back(logproc::slice_time(
+              parsed.logs_by_vpe[static_cast<std::size_t>(v)], u,
+              u + options.adapt_span));
+        }
+        const std::vector<LogView> views(adapt_streams[g].begin(),
+                                         adapt_streams[g].end());
+        groups[g].detector->adapt(views, vocab_next);
+      });
+    }
+    run();
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      for (const std::vector<ParsedLog>& stream : adapt_streams[g]) {
+        calibration.add(g, stream);
       }
-      std::vector<LogView> adapt_views(adapt_streams.begin(),
-                                       adapt_streams.end());
-      group.detector->adapt(adapt_views, parsed.vocab_at(month + 1));
-      // Recalibrate on the adaptation data itself (what operations has).
-      calibrate_threshold(group, adapt_streams, options.threshold_quantile);
-    });
-
-    // Phase 2 — batched per-group tail scoring for split months, appended
-    // to each member task's own slot.
-    pool.parallel_for(0, groups.size(), [&](std::size_t g) {
-      const GroupMonthPlan& plan = plans[g];
-      if (!plan.split_month) return;
-      const std::size_t t0 = group_task_begin[g];
-      const std::size_t t1 = group_task_begin[g + 1];
-      std::vector<std::vector<ParsedLog>> logs(t1 - t0);
-      for (std::size_t t = t0; t < t1; ++t) {
-        logs[t - t0] = logproc::slice_time(
-            parsed.logs_by_vpe[static_cast<std::size_t>(
-                member_tasks[t].vpe)],
-            plan.adapt_at, month_end);
-      }
-      std::vector<LogView> views(logs.begin(), logs.end());
-      const std::vector<std::vector<ScoredEvent>> tails =
-          groups[g].detector->score_streams(views, parsed.vocab());
-      for (std::size_t t = t0; t < t1; ++t) {
-        const std::vector<ScoredEvent>& tail = tails[t - t0];
+    }
+    calibration.schedule(live_models(), tasks);
+    for (std::size_t t = 0; t < member_tasks.size(); ++t) {
+      if (!plans[member_tasks[t].group].split_month) continue;
+      tasks.push_back([&, t] {
+        const MemberTask& task = member_tasks[t];
+        const std::vector<ScoredEvent> tail =
+            score_slice(*groups[task.group].detector, task.vpe,
+                        plans[task.group].adapt_at, month_end);
         events_by_task[t].insert(events_by_task[t].end(), tail.begin(),
                                  tail.end());
-      }
-    });
+      });
+    }
+    run();
+    calibration.apply(groups, options.threshold_quantile);
 
-    // Detect at each group's operating threshold and map to tickets —
-    // parallel per vPE into ordered slots; each vPE appears exactly once,
-    // so the result.streams appends are disjoint.
+    // The adapted groups' end-of-month update.
+    if (update) {
+      for (std::size_t g : by_size) {
+        if (!plans[g].split_month) continue;
+        tasks.push_back([&, g] {
+          groups[g].detector->update(
+              fill_normal(g, month_begin, month_end), vocab_next);
+        });
+      }
+      run();
+      queue_calibration();
+    }
+
+    // Detect at each group's operating threshold for this month and map
+    // to tickets, one task per vPE into ordered slots; each vPE appears
+    // exactly once, so the result.streams appends are disjoint.
     std::vector<MappingResult> month_parts(member_tasks.size());
-    pool.parallel_for(0, member_tasks.size(), [&](std::size_t t) {
-      const MemberTask& task = member_tasks[t];
-      const GroupState& group = groups[task.group];
-      const MappingConfig group_mapping = adapt_mapping_for(
-          group.detector->granularity(), options.mapping);
-      const std::vector<ScoredEvent>& events = events_by_task[t];
-      const std::vector<SimTime> clusters =
-          cluster_anomalies(events, group.threshold, group_mapping);
-      const std::vector<simnet::Ticket> tickets =
-          tickets_in_window(trace, task.vpe, month_begin, month_end,
-                            options.mapping.predictive_period);
-      month_parts[t] =
-          map_anomalies(clusters, tickets, task.vpe, group_mapping);
-      // Keep the raw scores for threshold sweeps.
-      auto& stream = result.streams[static_cast<std::size_t>(task.vpe)];
-      stream.events.insert(stream.events.end(), events.begin(),
-                           events.end());
-    });
+    for (std::size_t t = 0; t < member_tasks.size(); ++t) {
+      tasks.push_back([&, t] {
+        const MemberTask& task = member_tasks[t];
+        const std::vector<ScoredEvent>& events = events_by_task[t];
+        const std::vector<SimTime> clusters = cluster_anomalies(
+            events, groups[task.group].threshold, group_mapping);
+        const std::vector<simnet::Ticket> tickets =
+            tickets_in_window(trace, task.vpe, month_begin, month_end,
+                              options.mapping.predictive_period);
+        month_parts[t] =
+            map_anomalies(clusters, tickets, task.vpe, group_mapping);
+        // Keep the raw scores for threshold sweeps.
+        auto& stream = result.streams[static_cast<std::size_t>(task.vpe)];
+        stream.events.insert(stream.events.end(), events.begin(),
+                             events.end());
+      });
+    }
+    run();
 
     const MappingResult month_mapping = merge_mappings(month_parts);
     MonthlyMetrics metrics;
@@ -350,22 +466,6 @@ PipelineResult run_pipeline(const simnet::FleetTrace& trace,
     result.mapping.anomalies.insert(result.mapping.anomalies.end(),
                                     month_mapping.anomalies.begin(),
                                     month_mapping.anomalies.end());
-
-    // --- End-of-month model maintenance (parallel per group). ---
-    if (month + 1 >= months) break;  // nothing left to score
-    const std::size_t vocab_now = parsed.vocab_at(month + 1);
-    pool.parallel_for(0, groups.size(), [&](std::size_t g) {
-      GroupState& group = groups[g];
-      std::vector<std::vector<ParsedLog>> update_streams;
-      for (std::int32_t v : group.members) {
-        update_streams.push_back(
-            normal_logs(parsed, exclusions, v, month_begin, month_end));
-      }
-      std::vector<LogView> views(update_streams.begin(),
-                                 update_streams.end());
-      group.detector->update(views, vocab_now);
-      calibrate_threshold(group, update_streams, options.threshold_quantile);
-    });
   }
 
   // --- Aggregates. ---

@@ -47,9 +47,12 @@ struct PipelineOptions {
   nfv::util::Duration adapt_span = nfv::util::Duration::of_days(7);
   /// Operating threshold = this quantile of training-data scores.
   double threshold_quantile = 0.99;
-  /// Worker threads for the per-group / per-vPE fan-out. 1 = serial
-  /// (default); 0 = auto (NFVPRED_THREADS env override, else hardware
-  /// concurrency). Results are bit-identical for every thread count.
+  /// Worker threads for the fan-out: one task per vPE stream for every
+  /// scoring and calibration pass, one per group for fit/update/adapt,
+  /// and each month's update overlapping that month's scoring (on a
+  /// month-start clone). 1 = serial (default); 0 = auto (NFVPRED_THREADS
+  /// env override, else hardware concurrency). Results are bit-identical
+  /// for every thread count.
   std::size_t threads = 1;
   std::uint64_t seed = 7;
   /// Quantized steady-state scoring (LSTM detector only): each group's

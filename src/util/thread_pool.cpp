@@ -132,6 +132,12 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
+  run_job(begin, end, fn, 0);
+}
+
+void ThreadPool::run_job(std::size_t begin, std::size_t end,
+                         const std::function<void(std::size_t)>& fn,
+                         std::size_t chunk) {
   NFV_CHECK(!tl_in_parallel_region,
             "nested parallel_for: already inside a parallel region");
   if (end <= begin) return;
@@ -159,7 +165,8 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     std::lock_guard<std::mutex> lock(mu_);
     job_fn_ = &fn;
     job_end_ = end;
-    job_chunk_ = std::max<std::size_t>(1, n / (threads_ * 4));
+    job_chunk_ =
+        chunk != 0 ? chunk : std::max<std::size_t>(1, n / (threads_ * 4));
     next_index_.store(begin);
     finished_workers_ = 0;
     ++epoch_;
@@ -187,7 +194,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
 
 void ThreadPool::parallel_invoke(
     const std::vector<std::function<void()>>& tasks) {
-  parallel_for(0, tasks.size(), [&tasks](std::size_t i) { tasks[i](); });
+  run_job(0, tasks.size(), [&tasks](std::size_t i) { tasks[i](); }, 1);
 }
 
 namespace {

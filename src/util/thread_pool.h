@@ -52,7 +52,10 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& fn);
 
   /// Run every task exactly once, blocking until all completed. Same
-  /// determinism/nesting rules as parallel_for.
+  /// determinism/nesting rules as parallel_for, but each claim takes one
+  /// task: tasks are few and uneven (a model update next to a stream's
+  /// scoring), so a thread must never hold a second task while its first
+  /// one runs. Tasks start in list order; put the longest first.
   void parallel_invoke(const std::vector<std::function<void()>>& tasks);
 
   /// True while the current thread is executing inside a multi-threaded
@@ -83,6 +86,9 @@ class ThreadPool {
   static std::size_t resolve_threads(std::size_t requested);
 
  private:
+  /// parallel_for with `chunk` indices per claim (0 = n / (4·threads)).
+  void run_job(std::size_t begin, std::size_t end,
+               const std::function<void(std::size_t)>& fn, std::size_t chunk);
   void worker_loop();
   void run_chunks(const std::function<void(std::size_t)>& fn,
                   std::size_t end);

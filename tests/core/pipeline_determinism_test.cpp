@@ -1,10 +1,15 @@
 // Determinism is a hard requirement of the parallel execution layer: the
-// pipeline's per-group/per-vPE fan-out and the blocked matrix kernels must
+// pipeline's per-stream fan-out and the blocked matrix kernels must
 // produce bit-identical results for every thread count. These tests pin
-// that contract by comparing full runs at threads = 1 vs threads = 4.
+// that contract by comparing full runs at threads = 1 against threads
+// 2, 3, 4 and 7.
 #include "core/pipeline.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "ml/matrix.h"
 #include "util/rng.h"
@@ -104,6 +109,63 @@ TEST(PipelineDeterminismTest, ThreadsOneAndFourAreBitIdentical) {
   const PipelineResult parallel = run_pipeline(trace, parsed, options);
 
   expect_identical(serial, parallel);
+}
+
+// Unequal groups and a split month (a group adapts after the software
+// update, mid-month) exercise every round of the per-stream schedule:
+// update tasks beside scoring on month-start clones, adapt, the
+// recalibration and tail round, and the adapted groups' update. Exact
+// equality against threads = 1 at several thread counts, for the LSTM
+// (with its persistent optimizer, which clones leave behind) and for a
+// feature detector.
+void expect_serial_equivalence(DetectorKind detector) {
+  const simnet::FleetTrace trace =
+      simnet::simulate_fleet(simnet::small_fleet_config(61));
+  const ParsedFleet parsed = parse_fleet(trace);
+
+  PipelineOptions options;
+  options.detector = detector;
+  options.clustering.fixed_k = 3;
+  options.persistent_optimizer = true;
+  options.lstm_config = fast_lstm();
+
+  options.threads = 1;
+  const PipelineResult serial = run_pipeline(trace, parsed, options);
+
+  // Not vacuous: the groups differ in size, and some evaluated month is
+  // split by an adaptation.
+  std::vector<std::size_t> sizes(serial.clustering.num_groups, 0);
+  for (const std::int32_t g : serial.clustering.group_of_vpe) {
+    ++sizes[static_cast<std::size_t>(g)];
+  }
+  ASSERT_EQ(sizes.size(), 3u);
+  EXPECT_NE(*std::min_element(sizes.begin(), sizes.end()),
+            *std::max_element(sizes.begin(), sizes.end()));
+  bool split_month = false;
+  for (const nfv::util::SimTime u : trace.update_time_by_vpe) {
+    for (int m = options.initial_train_months; m < trace.config.months;
+         ++m) {
+      const nfv::util::SimTime end = nfv::util::month_start(m + 1);
+      split_month = split_month ||
+                    (u >= nfv::util::month_start(m) && u < end &&
+                     u + options.adapt_span < end);
+    }
+  }
+  ASSERT_TRUE(split_month) << "no evaluated month adapts mid-month";
+
+  for (const std::size_t threads : {2u, 3u, 4u, 7u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.threads = threads;
+    expect_identical(serial, run_pipeline(trace, parsed, options));
+  }
+}
+
+TEST(PipelineDeterminismTest, LstmStreamScheduleMatchesSerial) {
+  expect_serial_equivalence(DetectorKind::kLstm);
+}
+
+TEST(PipelineDeterminismTest, FeatureDetectorStreamScheduleMatchesSerial) {
+  expect_serial_equivalence(DetectorKind::kPca);
 }
 
 // The blocked-parallel matrix kernels against their serial references on

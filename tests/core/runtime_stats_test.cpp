@@ -463,6 +463,83 @@ TEST(RuntimeStatsSnapshotTest, FlushCoversTheLineSubmittedJustBeforeIt) {
   }
 }
 
+// The snapshot totals come from one consistent cut: no reader ever sees
+// more lines scored than submitted. Four producers, more threads than a
+// small CI box has cores, feed two workers that flush every line, through
+// blocking submits and rejecting try_submits on small queues, while a
+// reader takes stats cuts and snapshots. With try_submit counting a line
+// after its push and stats() loading lines_submitted first, 25 of 30 runs
+// of this test failed on a 4-core host. Afterwards every accepted line is
+// scored and every other one counted as rejected.
+TEST(RuntimeStatsSnapshotTest, TotalsNeverScoreMoreLinesThanSubmitted) {
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kLinesPerProducer = 150000;
+  StepDetector detector;
+  AsyncIngestConfig config;
+  config.workers = 2;
+  config.flush_batch = 1;
+  config.queue_capacity = 8;
+  AsyncIngest ingest(&detector, config);
+  StreamMonitorConfig monitor;
+  monitor.threshold = 10.0;
+  monitor.window = 4;
+  for (std::size_t v = 0; v < kProducers; ++v) {
+    ingest.add_shard(static_cast<std::int32_t>(v), monitor);
+  }
+  ingest.start();
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> cuts{0};
+  std::atomic<std::uint64_t> violations{0};
+  std::thread reader([&] {
+    // Every 16th cut is a full snapshot(); the others read stats(), the
+    // cut snapshot() takes its totals from, to sample the race often.
+    for (std::uint64_t n = 0; !done.load(std::memory_order_acquire); ++n) {
+      AsyncIngestStats totals;
+      if (n % 16 == 0) {
+        const RuntimeStatsSnapshot snap = ingest.snapshot();
+        totals.lines_submitted = snap.totals.lines_submitted;
+        totals.lines_scored = snap.totals.lines_scored;
+      } else {
+        totals = ingest.stats();
+      }
+      if (totals.lines_scored > totals.lines_submitted) {
+        violations.fetch_add(1, std::memory_order_relaxed);
+      }
+      cuts.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  // Producer p owns shard p, so each shard's lines stay in time order.
+  std::atomic<std::uint64_t> accepted{0};
+  const auto produce = [&](std::size_t p) {
+    for (std::size_t i = 0; i < kLinesPerProducer; ++i) {
+      if (i % 4 == 0) {
+        ingest.submit_parsed(p, trace_log(p, i));
+      } else if (!ingest.try_submit_parsed(p, trace_log(p, i))) {
+        continue;
+      }
+      accepted.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back(produce, p);
+  }
+  for (std::thread& producer : producers) producer.join();
+  ingest.flush();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  ingest.stop();
+
+  EXPECT_EQ(violations.load(), 0u) << "of " << cuts.load() << " snapshots";
+  EXPECT_GT(cuts.load(), 0u);
+  const RuntimeStatsSnapshot snap = ingest.snapshot();
+  EXPECT_EQ(snap.totals.lines_submitted, accepted.load());
+  EXPECT_EQ(snap.totals.lines_scored, accepted.load());
+  EXPECT_EQ(snap.totals.rejected_submits,
+            kProducers * kLinesPerProducer - accepted.load());
+}
+
 TEST(RuntimeStatsSnapshotTest, UninstrumentedRunKeepsCountersDropsLatency) {
   StepDetector detector;
   AsyncIngestConfig config;

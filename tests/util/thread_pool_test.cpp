@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/check.h"
@@ -144,6 +146,28 @@ TEST(ThreadPoolTest, ParallelInvokeRunsAllTasks) {
       EXPECT_EQ(slots[i], static_cast<int>(i) + 1);
     }
   }
+}
+
+// parallel_invoke hands out one task per claim: a thread running a long
+// task must not hold the next one. Task 0 waits for task 1 to start; had
+// one claim taken both, task 1 could start only after task 0 gave up.
+TEST(ThreadPoolTest, ParallelInvokeClaimsOneTaskAtATime) {
+  ThreadPool pool(2);
+  std::atomic<bool> second_started{false};
+  bool overlapped = false;
+  std::vector<std::function<void()>> tasks(64, [] {});
+  tasks[0] = [&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!second_started.load() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    overlapped = second_started.load();
+  };
+  tasks[1] = [&] { second_started.store(true); };
+  pool.parallel_invoke(tasks);
+  EXPECT_TRUE(overlapped) << "tasks 0 and 1 were handed out in one claim";
 }
 
 TEST(ThreadPoolTest, ReusableAcrossManyJobs) {

@@ -19,7 +19,8 @@
 # tests, the bench_scoring_throughput --smoke rank-agreement /
 # tier-bit-identity gates, and an ASan build of the int8 kernels. The
 # baseline-kernel leg re-runs the scoring contracts (batch-size/thread
-# invariance, fused vs serial reference, step vs training forward) with
+# invariance, fused vs serial reference, step vs training forward, and
+# the pipeline's per-stream schedule against its serial run) with
 # NFVPRED_NO_AVX2=1, the mode a CPU without AVX2+FMA runs. The ASan leg
 # also covers scoring across decades-long gaps between log lines.
 #
@@ -63,7 +64,7 @@ cmake --build "$ROOT/build" -j "$JOBS" --target bench_scoring_throughput
 
 echo "=== baseline kernels: scoring contracts with NFVPRED_NO_AVX2=1 ==="
 NFVPRED_NO_AVX2=1 ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS" \
-  -R 'BatchInvariance|BatchPlanner|SequenceModel|LstmStep|LogSoftmaxTarget|MatmulTransBPacked'
+  -R 'BatchInvariance|BatchPlanner|SequenceModel|LstmStep|LogSoftmaxTarget|MatmulTransBPacked|PipelineDeterminism'
 
 echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook) + int8 kernels + scoring gaps ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DNFVPRED_SANITIZE=address

@@ -24,6 +24,10 @@
 // they give, and the core count. Add `--quantize` to include the int8 rows
 // and the fp32-vs-int8 model weight bytes.
 //
+// The hidden 16 shape also gets a "live_flush" row: one AsyncIngest-sized
+// flush of 64 single-window streams at 1 thread, score_streams against
+// score_batched on prebuilt windows, per window.
+//
 // Run with `--smoke` for the CI gate: trains a small model on a
 // *patterned* corpus (cyclic template sequence + 10% noise, so the
 // predicted distributions are sharp, unlike the uniform-random throughput
@@ -40,6 +44,7 @@
 #include <cmath>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -149,6 +154,56 @@ double run_batched_quant(const Fixture& f) {
   return run_batched_with(f.quantized, f);
 }
 
+// One live flush: kFlushStreams single-window streams, the shape of an
+// AsyncIngest micro-batch where every shard staged one line.
+// score_streams builds the windows from the log views; score_batched
+// reads windows prebuilt outside the timing, so the difference is
+// score_streams' gather and scatter.
+constexpr std::size_t kFlushStreams = 64;
+constexpr std::size_t kFlushes = 2000;
+
+struct FlushFixture {
+  std::vector<core::LogView> views;
+  std::vector<ml::SeqExample> examples;
+  std::vector<const ml::SeqExample*> batch;
+};
+
+FlushFixture make_flush(const Fixture& f) {
+  FlushFixture flush;
+  for (std::size_t s = 0; s < kFlushStreams; ++s) {
+    const auto& stream = f.streams[s % f.streams.size()];
+    const std::size_t start = (s * 37) % (stream.size() - f.window);
+    flush.views.push_back({stream.data() + start, f.window + 1});
+    const auto ex = logproc::build_sequence_examples(flush.views.back(),
+                                                     f.window, std::nullopt);
+    flush.examples.push_back(ex.front());
+  }
+  for (const ml::SeqExample& ex : flush.examples) flush.batch.push_back(&ex);
+  return flush;
+}
+
+double run_flush_streams(const Fixture& f, const FlushFixture& flush) {
+  double sink = 0.0;
+  for (std::size_t i = 0; i < kFlushes; ++i) {
+    const auto events = f.detector.score_streams(flush.views, kVocab);
+    sink += events.back().back().score;
+  }
+  return sink;
+}
+
+double run_flush_batched(const Fixture& f, const FlushFixture& flush) {
+  double sink = 0.0;
+  std::vector<double> out(flush.batch.size());
+  for (std::size_t i = 0; i < kFlushes; ++i) {
+    ml::SequenceModel::InferenceScratch scratch;  // per call, as score_streams
+    f.detector.model().score_batched(flush.batch,
+                                     f.detector.config().score_batch,
+                                     scratch, out);
+    sink += out.back();
+  }
+  return sink;
+}
+
 void BM_ScoreWindowByWindow(benchmark::State& state) {
   const Fixture& f = fixture();
   util::set_global_threads(static_cast<std::size_t>(state.range(0)));
@@ -228,8 +283,47 @@ void write_regime(nfv::util::JsonWriter& w, const char* name,
       .end_object();
 }
 
+// One live flush, 1 thread: score_streams against score_batched.
+void write_live_flush(nfv::util::JsonWriter& w, const Fixture& f,
+                      std::size_t repeats) {
+  util::set_global_threads(1);
+  const FlushFixture flush = make_flush(f);
+  run_flush_streams(f, flush);
+  run_flush_batched(f, flush);
+  std::vector<double> streams_s, batched_s;
+  for (std::size_t r = 0; r < repeats; ++r) {
+    streams_s.push_back(
+        timed_seconds([&] { return run_flush_streams(f, flush); }));
+    batched_s.push_back(
+        timed_seconds([&] { return run_flush_batched(f, flush); }));
+  }
+  util::set_global_threads(0);
+  const double flush_windows = static_cast<double>(kFlushes * kFlushStreams);
+  const Timing streams_t = summarize(streams_s);
+  const Timing batched_t = summarize(batched_s);
+  const double us = 1e6 / flush_windows;
+  w.key("live_flush")
+      .begin_object()
+      .kv("nproc", std::max(1u, std::thread::hardware_concurrency()))
+      .kv("threads", 1)
+      .kv("repeats", repeats)
+      .kv("streams", kFlushStreams)
+      .kv("flushes", kFlushes)
+      .kv("score_streams_us_per_window_min", streams_t.min_s * us)
+      .kv("score_streams_us_per_window_median", streams_t.median_s * us)
+      .kv("score_batched_us_per_window_min", batched_t.min_s * us)
+      .kv("score_batched_us_per_window_median", batched_t.median_s * us)
+      .kv("overhead_us_per_window_min",
+          (streams_t.min_s - batched_t.min_s) * us)
+      .end_object();
+  std::cerr << "hidden=" << f.detector.config().hidden
+            << " live flush: score_streams " << streams_t.min_s * us
+            << " us/window, score_batched " << batched_t.min_s * us
+            << " us/window\n";
+}
+
 void write_shape(nfv::util::JsonWriter& w, const Fixture& f, bool quantize,
-                 std::size_t repeats) {
+                 std::size_t repeats, bool live_flush) {
   const double windows = static_cast<double>(f.total_windows);
   const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
   w.begin_object();
@@ -290,6 +384,7 @@ void write_shape(nfv::util::JsonWriter& w, const Fixture& f, bool quantize,
   }
   util::set_global_threads(0);
   w.end_array();
+  if (live_flush) write_live_flush(w, f, repeats);
   w.end_object();
 }
 
@@ -303,8 +398,8 @@ int run_json_mode(const std::string& path, bool quantize) {
   w.kv("score_batch", fixture().detector.config().score_batch);
   w.kv("simd_kernels", ml::simd_kernels_enabled());
   w.key("shapes").begin_array();
-  write_shape(w, fixture(), quantize, kRepeats);
-  write_shape(w, make_fixture(16, 4), quantize, kRepeats);
+  write_shape(w, fixture(), quantize, kRepeats, /*live_flush=*/false);
+  write_shape(w, make_fixture(16, 4), quantize, kRepeats, /*live_flush=*/true);
   w.end_array();
   w.end_object();
   return bench::write_json_file(path, w) ? 0 : 1;

@@ -6,7 +6,6 @@
 #include <istream>
 #include <ostream>
 
-#include "core/batch_planner.h"
 #include "ml/optimizer.h"
 #include "ml/serialize.h"
 #include "util/check.h"
@@ -15,6 +14,7 @@
 namespace nfv::core {
 
 using ml::SeqExample;
+using nfv::util::Duration;
 using nfv::util::Rng;
 
 LstmDetector::LstmDetector(const LstmDetectorConfig& config)
@@ -97,30 +97,33 @@ void LstmDetector::train_epochs(std::span<const SeqExample> examples,
   }
 }
 
-void LstmDetector::score_known_windows(
-    std::span<const std::vector<const SeqExample*>> streams,
-    std::vector<std::vector<double>>& scores) const {
-  // One scorer per call: score paths must stay const and thread-safe (the
+void LstmDetector::score_windows(const ml::WindowBatch& windows,
+                                 std::span<double> out) const {
+  // One scratch per call: score paths must stay const and thread-safe (the
   // streaming monitors share a detector across threads), so the scratch
   // cannot live on the detector. Within the call every fused batch reuses
-  // the scorer's buffers.
-  BatchedWindowScorer scorer(config_.score_batch);
-  const BatchScoreKind kind =
-      config_.score_mode == LstmScoreMode::kTargetRank
-          ? BatchScoreKind::kTargetRank
-          : BatchScoreKind::kNegLogLikelihood;
-  scorer.score(*model_, kind, streams, scores);
+  // its buffers.
+  ml::SequenceModel::InferenceScratch scratch;
+  if (config_.score_mode == LstmScoreMode::kTargetRank) {
+    std::vector<std::size_t> ranks(windows.size());
+    model_->score_ranks_batched(windows, config_.score_batch, scratch, ranks);
+    for (std::size_t i = 0; i < ranks.size(); ++i) {
+      out[i] = static_cast<double>(ranks[i]);
+    }
+  } else {
+    model_->score_batched(windows, config_.score_batch, scratch, out);
+    for (double& score : out) score = -score;
+  }
 }
 
 std::vector<double> LstmDetector::score_examples(
     std::span<const SeqExample> examples) const {
   NFV_CHECK(trained(), "score_examples before fit");
-  std::vector<std::vector<const SeqExample*>> streams(1);
-  streams[0].reserve(examples.size());
-  for (const SeqExample& ex : examples) streams[0].push_back(&ex);
-  std::vector<std::vector<double>> scores;
-  score_known_windows(streams, scores);
-  return std::move(scores[0]);
+  ml::WindowBuffer windows;
+  for (const SeqExample& ex : examples) windows.append(ex, config_.window);
+  std::vector<double> scores(examples.size());
+  score_windows(windows.view(), scores);
+  return scores;
 }
 
 void LstmDetector::oversample_refine(std::vector<SeqExample> examples) {
@@ -175,7 +178,7 @@ void LstmDetector::fit(std::span<const LogView> streams, std::size_t vocab) {
   if (config_.oversample) oversample_refine(std::move(examples));
   // Calibrate once, after ALL training (including the over-sampling
   // rounds, which score with the fp32 model they just trained).
-  if (config_.quantize) model_->quantize();
+  pack_scoring_image();
 }
 
 void LstmDetector::update(std::span<const LogView> streams,
@@ -187,7 +190,7 @@ void LstmDetector::update(std::span<const LogView> streams,
   }
   std::vector<SeqExample> examples = prepare_examples(streams);
   train_epochs(examples, config_.update_epochs, config_.update_lr);
-  if (config_.quantize) model_->quantize();
+  pack_scoring_image();
 }
 
 void LstmDetector::adapt(std::span<const LogView> streams,
@@ -212,7 +215,15 @@ void LstmDetector::adapt(std::span<const LogView> streams,
     std::vector<SeqExample> examples = prepare_examples(streams);
     train_epochs(examples, config_.adapt_epochs, config_.adapt_lr);
   }
-  if (config_.quantize) model_->quantize();
+  pack_scoring_image();
+}
+
+void LstmDetector::pack_scoring_image() {
+  if (config_.quantize) {
+    model_->quantize();
+  } else {
+    model_->pack_fused();
+  }
 }
 
 std::vector<ScoredEvent> LstmDetector::score(LogView logs,
@@ -224,52 +235,61 @@ std::vector<std::vector<ScoredEvent>> LstmDetector::score_streams(
     std::span<const LogView> streams, std::size_t vocab) const {
   NFV_CHECK(trained(), "score before fit");
   (void)vocab;
+  const std::size_t k = config_.window;
   const auto model_vocab = static_cast<std::int32_t>(model_->config().vocab);
+  const double unknown_score =
+      config_.score_mode == LstmScoreMode::kTargetRank
+          ? static_cast<double>(model_->config().vocab)
+          : config_.unknown_score;
 
-  // Gather phase: build every stream's windows and split them into
-  // unknown-template windows (scored immediately with the pessimistic
-  // constant) and model-known windows, remembering each known window's
-  // per-stream slot so the fused scores scatter back in order.
+  // Gather phase: every log with k predecessors gets a window, whatever
+  // the gaps (no gap filter, as build_sequence_examples(logs, k,
+  // std::nullopt) builds them), so window j of a stream scores log k + j.
+  // Windows touching a template the model has never seen are maximally
+  // surprising and take the constant at once; the rest go into one flat
+  // window batch, with a pointer to their output slot for the scatter.
   std::vector<std::vector<ScoredEvent>> out(streams.size());
-  std::vector<std::vector<SeqExample>> examples(streams.size());
-  std::vector<std::vector<const SeqExample*>> known(streams.size());
-  std::vector<std::vector<std::size_t>> known_index(streams.size());
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    if (streams[s].size() > k) {
+      out[s].resize(streams[s].size() - k);
+      total += out[s].size();
+    }
+  }
+  ml::WindowBuffer windows;
+  windows.ids.reserve(total * k);
+  windows.dts.reserve(total * k);
+  windows.targets.reserve(total);
+  std::vector<ScoredEvent*> slots;
+  slots.reserve(total);
   for (std::size_t s = 0; s < streams.size(); ++s) {
     const LogView logs = streams[s];
-    if (logs.size() <= config_.window) continue;
-    // Build windows with no gap filter: every log with k predecessors
-    // gets a score, so example j is log window + j, whatever the gaps.
-    examples[s] =
-        logproc::build_sequence_examples(logs, config_.window, std::nullopt);
-    out[s].resize(examples[s].size());
-    std::size_t example_index = 0;
-    for (std::size_t i = config_.window; i < logs.size();
-         ++i, ++example_index) {
-      SeqExample& ex = examples[s][example_index];
-      out[s][example_index].time = logs[i].time;
-      bool unknown = ex.target >= model_vocab;
-      for (std::int32_t id : ex.ids) unknown = unknown || id >= model_vocab;
-      if (unknown) {
-        // Templates the model has never seen are maximally surprising.
-        out[s][example_index].score =
-            config_.score_mode == LstmScoreMode::kTargetRank
-                ? static_cast<double>(model_->config().vocab)
-                : config_.unknown_score;
-      } else {
-        known[s].push_back(&ex);
-        known_index[s].push_back(example_index);
+    for (std::size_t i = k; i < logs.size(); ++i) {
+      ScoredEvent& event = out[s][i - k];
+      event.time = logs[i].time;
+      bool unknown = logs[i].template_id >= model_vocab;
+      for (std::size_t j = i - k; j < i; ++j) {
+        unknown = unknown || logs[j].template_id >= model_vocab;
       }
+      if (unknown) {
+        event.score = unknown_score;
+        continue;
+      }
+      for (std::size_t j = i - k; j < i; ++j) {
+        const Duration dt =
+            j == 0 ? Duration{0} : logs[j].time - logs[j - 1].time;
+        windows.ids.push_back(logs[j].template_id);
+        windows.dts.push_back(static_cast<float>(dt.seconds));
+      }
+      windows.targets.push_back(logs[i].template_id);
+      slots.push_back(&event);
     }
   }
 
   // Fused scoring across all streams, then the slot-addressed scatter.
-  std::vector<std::vector<double>> scores;
-  score_known_windows(known, scores);
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    for (std::size_t i = 0; i < known[s].size(); ++i) {
-      out[s][known_index[s][i]].score = scores[s][i];
-    }
-  }
+  std::vector<double> scores(slots.size());
+  score_windows(windows.view(), scores);
+  for (std::size_t i = 0; i < slots.size(); ++i) slots[i]->score = scores[i];
   return out;
 }
 

@@ -99,10 +99,10 @@ class LstmDetector final : public AnomalyDetector {
   std::vector<ScoredEvent> score(LogView logs,
                                  std::size_t vocab) const override;
 
-  /// Cross-stream batched scoring: windows from ALL streams are flattened
-  /// into one slot-addressed queue and scored in fused forward batches of
-  /// config().score_batch rows (see core/batch_planner.h). Bit-identical
-  /// to per-stream score() for any batch size and thread count.
+  /// Cross-stream batched scoring: windows from ALL streams are gathered
+  /// straight from the log views into one flat ml::WindowBatch and scored
+  /// in forward batches of config().score_batch rows. Bit-identical to
+  /// per-stream score() for any batch size and thread count.
   std::vector<std::vector<ScoredEvent>> score_streams(
       std::span<const LogView> streams, std::size_t vocab) const override;
 
@@ -144,12 +144,15 @@ class LstmDetector final : public AnomalyDetector {
   static LstmDetector load(std::istream& is);
 
  private:
-  /// Score windows already known to be inside the model's vocabulary;
-  /// shared by score_streams / score_examples.
-  void score_known_windows(
-      std::span<const std::vector<const ml::SeqExample*>> streams,
-      std::vector<std::vector<double>>& scores) const;
+  /// Anomaly scores (per score_mode) of windows already known to be
+  /// inside the model's vocabulary; shared by score_streams /
+  /// score_examples. `out.size()` must equal `windows.size()`.
+  void score_windows(const ml::WindowBatch& windows,
+                     std::span<double> out) const;
 
+  /// After training: the int8 sidecar in quantized mode, else the fused
+  /// image, so live scoring packs nothing per call.
+  void pack_scoring_image();
   void train_epochs(std::span<const ml::SeqExample> examples,
                     std::size_t epochs, float lr);
   std::vector<ml::SeqExample> prepare_examples(

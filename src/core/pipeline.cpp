@@ -155,6 +155,26 @@ std::vector<TicketDetection> merge_detections(
 PipelineResult run_pipeline(const simnet::FleetTrace& trace,
                             const ParsedFleet& parsed,
                             const PipelineOptions& options) {
+  return run_pipeline(
+      trace, parsed, options,
+      [&options](std::uint64_t seed) -> std::unique_ptr<AnomalyDetector> {
+        if (options.detector != DetectorKind::kLstm) {
+          return make_detector(options.detector, seed);
+        }
+        LstmDetectorConfig config =
+            options.lstm_config.value_or(LstmDetectorConfig{});
+        config.oversample = options.oversample;
+        config.persistent_optimizer = options.persistent_optimizer;
+        if (options.quantize) config.quantize = true;
+        config.seed = seed;
+        return std::make_unique<LstmDetector>(config);
+      });
+}
+
+PipelineResult run_pipeline(const simnet::FleetTrace& trace,
+                            const ParsedFleet& parsed,
+                            const PipelineOptions& options,
+                            const DetectorFactory& make) {
   const auto n = static_cast<std::size_t>(trace.num_vpes());
   const int months = trace.config.months;
   NFV_CHECK(options.initial_train_months >= 1 &&
@@ -172,6 +192,11 @@ PipelineResult run_pipeline(const simnet::FleetTrace& trace,
   // writes only its own pre-sized slot, and (d) slots are merged in
   // group-major order after each round.
   nfv::util::ThreadPool pool(options.threads);
+  // A one-thread run is serial all the way down: the region marker keeps
+  // every ml kernel underneath on this thread instead of row-blocking its
+  // large products onto the auto-sized global pool.
+  std::optional<nfv::util::ThreadPool::ScopedRegion> serial_kernels;
+  if (pool.size() == 1) serial_kernels.emplace();
   Tasks tasks;
   const auto run = [&pool, &tasks] {
     pool.parallel_invoke(tasks);
@@ -205,18 +230,7 @@ PipelineResult run_pipeline(const simnet::FleetTrace& trace,
         .members.push_back(static_cast<std::int32_t>(v));
   }
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (options.detector == DetectorKind::kLstm) {
-      LstmDetectorConfig config =
-          options.lstm_config.value_or(LstmDetectorConfig{});
-      config.oversample = options.oversample;
-      config.persistent_optimizer = options.persistent_optimizer;
-      if (options.quantize) config.quantize = true;
-      config.seed = options.seed + 100 * (g + 1);
-      groups[g].detector = std::make_unique<LstmDetector>(config);
-    } else {
-      groups[g].detector =
-          make_detector(options.detector, options.seed + 100 * (g + 1));
-    }
+    groups[g].detector = make(options.seed + 100 * (g + 1));
   }
   // Training tasks start largest group first, so the longest one never
   // waits behind shorter ones.

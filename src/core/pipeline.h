@@ -10,6 +10,7 @@
 // incremental training (the Fig. 7 comparison).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -50,9 +51,11 @@ struct PipelineOptions {
   /// Worker threads for the fan-out: one task per vPE stream for every
   /// scoring and calibration pass, one per group for fit/update/adapt,
   /// and each month's update overlapping that month's scoring (on a
-  /// month-start clone). 1 = serial (default); 0 = auto (NFVPRED_THREADS
-  /// env override, else hardware concurrency). Results are bit-identical
-  /// for every thread count.
+  /// month-start clone). 1 = serial (default): the ml kernels underneath
+  /// stay on the calling thread too, instead of row-blocking their large
+  /// products onto the global pool; 0 = auto (NFVPRED_THREADS env
+  /// override, else hardware concurrency). Results are bit-identical for
+  /// every thread count.
   std::size_t threads = 1;
   std::uint64_t seed = 7;
   /// Quantized steady-state scoring (LSTM detector only): each group's
@@ -89,10 +92,21 @@ struct PipelineResult {
   double eval_days = 0.0;
 };
 
+/// Builds one group's detector from that group's seed.
+using DetectorFactory =
+    std::function<std::unique_ptr<AnomalyDetector>(std::uint64_t seed)>;
+
 /// Run the full rolling evaluation.
 PipelineResult run_pipeline(const simnet::FleetTrace& trace,
                             const ParsedFleet& parsed,
                             const PipelineOptions& options);
+
+/// As above, with every group's detector built by `make` instead of from
+/// options.detector / lstm_config (a seam for detector doubles in tests).
+PipelineResult run_pipeline(const simnet::FleetTrace& trace,
+                            const ParsedFleet& parsed,
+                            const PipelineOptions& options,
+                            const DetectorFactory& make);
 
 /// Tickets of one vPE whose mapping-relevant span intersects [begin, end).
 std::vector<simnet::Ticket> tickets_in_window(

@@ -168,8 +168,8 @@ std::vector<double> StreamMonitorGroup::flush() {
 
   if (windows_used_ > 0) {
     // Fused cross-shard batches: every staged window becomes one
-    // single-window stream, and score_streams packs them into large
-    // forward batches via the batch planner. Windows are bucketed by the
+    // single-window stream, and score_streams packs them into one flat
+    // window batch for the forward pass. Windows are bucketed by the
     // vocabulary captured at stage time: immediate ingestion passes each
     // shard's OWN tree size at that moment, never the max across shards,
     // and the "scores are identical" contract above requires batching to

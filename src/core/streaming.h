@@ -147,8 +147,8 @@ class StreamMonitor {
 /// share one detector. Ingested lines are staged (template mining and
 /// history tracking happen immediately; scoring is deferred); flush()
 /// then scores ALL staged windows across ALL shards in one fused
-/// cross-stream batch (AnomalyDetector::score_streams → the batch planner
-/// for the LSTM) and replays the per-monitor warning tracking in arrival
+/// cross-stream batch (AnomalyDetector::score_streams → one flat window
+/// batch for the LSTM) and replays the per-monitor warning tracking in arrival
 /// order. Scores and warnings are identical to immediate per-line
 /// ingestion; only the GEMM granularity changes.
 ///

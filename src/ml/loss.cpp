@@ -51,7 +51,44 @@ __attribute__((target("avx2,fma"))) float sum_exp_shifted_fma(
   s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
   return _mm_cvtss_f32(s);
 }
+
+/// max over l[0, n), 8 lanes per step; a ragged tail re-reads the last 8
+/// elements, which max absorbs. The max is exact in any order, so this
+/// finds the same value as std::max_element.
+__attribute__((target("avx2,fma"))) float max_fma(const float* l,
+                                                  std::size_t n) {
+  if (n < 8) return *std::max_element(l, l + n);
+  __m256 acc = _mm256_loadu_ps(l);
+  std::size_t c = 8;
+  for (; c + 8 <= n; c += 8) acc = _mm256_max_ps(acc, _mm256_loadu_ps(l + c));
+  if (c < n) acc = _mm256_max_ps(acc, _mm256_loadu_ps(l + n - 8));
+  __m128 m = _mm_max_ps(_mm256_castps256_ps128(acc),
+                        _mm256_extractf128_ps(acc, 1));
+  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
+  return _mm_cvtss_f32(m);
+}
 #endif
+
+/// log_softmax_target of one row, target already range-checked.
+double log_softmax_row(const float* l, std::size_t n, std::size_t target,
+                       double log_min_prob) {
+  float max_logit = 0.0f;
+  float total = 0.0f;
+#ifdef NFV_ML_SIMD
+  if (simd_kernels_enabled()) {
+    max_logit = max_fma(l, n);
+    total = sum_exp_shifted_fma(l, n, max_logit);
+  } else
+#endif
+  {
+    max_logit = *std::max_element(l, l + n);
+    for (std::size_t c = 0; c < n; ++c) total += std::exp(l[c] - max_logit);
+  }
+  const double log_p = static_cast<double>(l[target] - max_logit) -
+                       std::log(static_cast<double>(total));
+  return std::max(log_p, log_min_prob);
+}
 
 }  // namespace
 
@@ -79,23 +116,9 @@ double log_softmax_target(const Matrix& logits, std::size_t row,
   NFV_CHECK(row < logits.rows(), "log_softmax_target row out of range");
   NFV_CHECK(target >= 0 && static_cast<std::size_t>(target) < logits.cols(),
             "log_softmax_target target out of range");
-  const float* l = logits.row(row);
-  const std::size_t n = logits.cols();
-  // The max is exact in any order, so both modes find the same shift.
-  const float max_logit = *std::max_element(l, l + n);
-  float total = 0.0f;
-#ifdef NFV_ML_SIMD
-  if (simd_kernels_enabled()) {
-    total = sum_exp_shifted_fma(l, n, max_logit);
-  } else
-#endif
-  {
-    for (std::size_t c = 0; c < n; ++c) total += std::exp(l[c] - max_logit);
-  }
-  const double log_p =
-      static_cast<double>(l[static_cast<std::size_t>(target)] - max_logit) -
-      std::log(static_cast<double>(total));
-  return std::max(log_p, std::log(min_prob));
+  return log_softmax_row(logits.row(row), logits.cols(),
+                         static_cast<std::size_t>(target),
+                         std::log(min_prob));
 }
 
 void log_softmax_targets(const Matrix& logits,
@@ -103,8 +126,15 @@ void log_softmax_targets(const Matrix& logits,
                          std::span<double> out, double min_prob) {
   NFV_CHECK(targets.size() == logits.rows() && out.size() == logits.rows(),
             "log_softmax_targets: one target and one output per row");
+  for (const std::int32_t target : targets) {
+    NFV_CHECK(target >= 0 && static_cast<std::size_t>(target) < logits.cols(),
+              "log_softmax_target target out of range");
+  }
+  const double log_min_prob = std::log(min_prob);
   for_each_row(logits.rows(), [&](std::size_t r) {
-    out[r] = log_softmax_target(logits, r, targets[r], min_prob);
+    out[r] = log_softmax_row(logits.row(r), logits.cols(),
+                             static_cast<std::size_t>(targets[r]),
+                             log_min_prob);
   });
 }
 

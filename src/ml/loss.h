@@ -37,15 +37,16 @@ double log_prob(const Matrix& probs, std::size_t row, std::int32_t target,
 /// log p(target) in row `row` of softmax(logits), straight from the
 /// logits: (l_t − max) − log Σ_c exp(l_c − max), floored at log(min_prob)
 /// as log_prob is. The probability row is never materialized. In the
-/// AVX2+FMA kernel mode the exponentials run 8 lanes at a time through
-/// the LSTM gates' exp; either mode gives a row the same bits whatever
-/// batch it sits in. Agrees with log_prob(softmax(logits)) to ~1e-7.
+/// AVX2+FMA kernel mode the max and the exponentials run 8 lanes at a time
+/// (the latter through the LSTM gates' exp; the max is exact in any
+/// order); either mode gives a row the same bits whatever batch it sits
+/// in. Agrees with log_prob(softmax(logits)) to ~1e-7.
 double log_softmax_target(const Matrix& logits, std::size_t row,
                           std::int32_t target, double min_prob = 1e-12);
 
-/// log_softmax_target for every row r with class targets[r] into out[r];
-/// large batches split their rows across the global pool (bit-identical
-/// to the serial sweep).
+/// log_softmax_target for every row r with class targets[r] into out[r].
+/// The targets are range-checked once, up front; large batches split
+/// their rows across the global pool (bit-identical to the serial sweep).
 void log_softmax_targets(const Matrix& logits,
                          std::span<const std::int32_t> targets,
                          std::span<double> out, double min_prob = 1e-12);

@@ -75,6 +75,8 @@ class Lstm {
   std::size_t hidden_size() const { return hidden_size_; }
   Param& weight() { return weight_; }
   Param& bias() { return bias_; }
+  const Param& weight() const { return weight_; }
+  const Param& bias() const { return bias_; }
 
  private:
   /// concat = [input, h_prev] (B × (I+H)).

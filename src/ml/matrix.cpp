@@ -192,7 +192,28 @@ __attribute__((always_inline)) inline void matmul_transb_rows_packed(
       out.row(i + 3)[j] = d3;
     }
   }
-  for (; i < i1; ++i) matmul_transb_row(a, b, out, i);
+  // Leftover rows: 1 row × one panel per tile, then the tail columns.
+  for (; i < i1; ++i) {
+    const float* a0 = a.row(i);
+    float* o0 = out.row(i);
+    for (std::size_t jp = 0; jp < panels; ++jp) {
+      const float* panel = packed + jp * cols * kPanelCols;
+      float acc[kPanelCols] = {};
+      for (std::size_t k = 0; k < cols; ++k) {
+        const float* bv = panel + kPanelCols * k;
+        for (std::size_t jj = 0; jj < kPanelCols; ++jj) {
+          acc[jj] += a0[k] * bv[jj];
+        }
+      }
+      std::memcpy(o0 + kPanelCols * jp, acc, sizeof(acc));
+    }
+    for (std::size_t j = kPanelCols * panels; j < jn; ++j) {
+      const float* brow = b.row(j);
+      float dot = 0.0f;
+      for (std::size_t k = 0; k < cols; ++k) dot += a0[k] * brow[k];
+      o0[j] = dot;
+    }
+  }
 }
 
 /// Rows [i0, i1) of out = a * b with b pre-packed into 8-column k-major
@@ -331,9 +352,10 @@ inline void transa_acc_block(const Matrix& a, const Matrix& b, Matrix& out,
   }
 }
 
-/// Minimum a-row count before packing b into panels pays for itself; below
-/// this the plain row kernel is used (a 1-window batch never packs).
-constexpr std::size_t kPackMinRows = kTransbPackMinRows;
+/// Minimum a-row count before packing b into panels on every call pays
+/// for itself; below this the plain row kernel is used. Pre-packed callers
+/// (matmul_packed, matmul_transb_packed) read their panels at any size.
+constexpr std::size_t kPackMinRows = 8;
 
 /// Reused pack buffer (packing happens on the calling thread before any
 /// parallel fan-out; workers only read it).
@@ -486,7 +508,51 @@ __attribute__((target("avx2,fma"))) void matmul_transb_rows_packed_fma(
       o3[j] = d3;
     }
   }
-  for (; i < i1; ++i) transb_row_fma_body(a, b, out, i);
+  // Leftover rows: 1 row × 4 panels per tile (four chains in flight), then
+  // single panels, then the scalar tail columns, every lane on its own
+  // k-ascending chain as above.
+  for (; i < i1; ++i) {
+    const float* a0 = a.row(i);
+    float* o0 = out.row(i);
+    std::size_t jp = 0;
+    for (; jp + 4 <= panels; jp += 4) {
+      const float* p0 = packed + jp * panel_size;
+      __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+      __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
+      for (std::size_t k = 0; k < cols; ++k) {
+        const __m256 av = _mm256_set1_ps(a0[k]);
+        const float* bk = p0 + kPanelCols * k;
+        acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bk), acc0);
+        acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bk + panel_size), acc1);
+        acc2 =
+            _mm256_fmadd_ps(av, _mm256_loadu_ps(bk + 2 * panel_size), acc2);
+        acc3 =
+            _mm256_fmadd_ps(av, _mm256_loadu_ps(bk + 3 * panel_size), acc3);
+      }
+      const std::size_t j = kPanelCols * jp;
+      _mm256_storeu_ps(o0 + j, acc0);
+      _mm256_storeu_ps(o0 + j + kPanelCols, acc1);
+      _mm256_storeu_ps(o0 + j + 2 * kPanelCols, acc2);
+      _mm256_storeu_ps(o0 + j + 3 * kPanelCols, acc3);
+    }
+    for (; jp < panels; ++jp) {
+      const float* panel = packed + jp * panel_size;
+      __m256 acc = _mm256_setzero_ps();
+      for (std::size_t k = 0; k < cols; ++k) {
+        acc = _mm256_fmadd_ps(_mm256_set1_ps(a0[k]),
+                              _mm256_loadu_ps(panel + kPanelCols * k), acc);
+      }
+      _mm256_storeu_ps(o0 + kPanelCols * jp, acc);
+    }
+    for (std::size_t j = kPanelCols * panels; j < jn; ++j) {
+      const float* brow = b.row(j);
+      float d = 0.0f;
+      for (std::size_t k = 0; k < cols; ++k) {
+        d = __builtin_fmaf(a0[k], brow[k], d);
+      }
+      o0[j] = d;
+    }
+  }
 }
 
 /// AVX2+FMA clone of matmul_rows_bpacked (plain out = a·b, packed B).

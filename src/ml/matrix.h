@@ -105,16 +105,12 @@ void matmul_transb(const Matrix& a, const Matrix& b, Matrix& out);
 void pack_transb(const Matrix& b, std::vector<float>& packed);
 
 /// out = a·bᵀ with `packed` previously produced by pack_transb(b), or
-/// empty for "not packed" (the call is then matmul_transb). Bit-identical
-/// to matmul_transb(a, b, out) and to matmul_transb_serial for any row
-/// count and thread count.
+/// empty for "not packed" (the call is then matmul_transb). Reads the
+/// panels for any row count — rows past the last full 4-row tile take
+/// 1-row tiles — so a pre-packed weight pays even for a single window. Bit-identical to matmul_transb(a, b,
+/// out) and to matmul_transb_serial for any row count and thread count.
 void matmul_transb_packed(const Matrix& a, const Matrix& b,
                           const std::vector<float>& packed, Matrix& out);
-
-/// matmul_transb packs b only for products of at least this many rows;
-/// smaller ones run row-at-a-time and never read panels, so a caller
-/// whose products are all smaller has nothing to gain from pack_transb.
-inline constexpr std::size_t kTransbPackMinRows = 8;
 
 /// out += aᵀ (K×R stored as R×K) * b (R×C) — i.e. out (K×C) accumulates
 /// gradient contributions Σ_r a[r]ᵀ b[r]. Used for weight gradients.

@@ -53,24 +53,67 @@ SequenceModel::SequenceModel(const SequenceModelConfig& config,
   }
 }
 
-std::vector<Param*> SequenceModel::params() {
+void WindowBuffer::clear() {
+  ids.clear();
+  dts.clear();
+  targets.clear();
+}
+
+void WindowBuffer::append(const SeqExample& example, std::size_t window) {
+  NFV_CHECK(example.ids.size() == window && example.dts.size() == window,
+            "SeqExample window length " << example.ids.size()
+                                        << " != model window " << window);
+  ids.insert(ids.end(), example.ids.begin(), example.ids.end());
+  dts.insert(dts.end(), example.dts.begin(), example.dts.end());
+  targets.push_back(example.target);
+}
+
+std::vector<Param*> SequenceModel::all_params() const {
+  auto* self = const_cast<SequenceModel*>(this);
   std::vector<Param*> out;
-  for (Param* p : embedding_.params()) out.push_back(p);
-  for (Lstm& lstm : lstm_layers_) {
+  for (Param* p : self->embedding_.params()) out.push_back(p);
+  for (Lstm& lstm : self->lstm_layers_) {
     for (Param* p : lstm.params()) out.push_back(p);
   }
-  for (Param* p : output_.params()) out.push_back(p);
+  for (Param* p : self->output_.params()) out.push_back(p);
   return out;
 }
 
+std::vector<Param*> SequenceModel::params() {
+  fused_.reset();
+  return all_params();
+}
+
 std::vector<const Param*> SequenceModel::params() const {
-  std::vector<Param*> mutable_params =
-      const_cast<SequenceModel*>(this)->params();
+  std::vector<Param*> mutable_params = all_params();
   return {mutable_params.begin(), mutable_params.end()};
 }
 
+WindowBatch SequenceModel::gather(std::span<const SeqExample* const> batch,
+                                  WindowBuffer& buffer) const {
+  buffer.clear();
+  for (const SeqExample* example : batch) {
+    buffer.append(*example, config_.window);
+  }
+  return buffer.view();
+}
+
+void SequenceModel::check_windows(const WindowBatch& windows) const {
+  const std::size_t k = config_.window;
+  NFV_CHECK(windows.ids.size() == windows.size() * k &&
+                windows.dts.size() == windows.size() * k,
+            "window batch holds " << windows.ids.size() << " ids and "
+                                  << windows.dts.size() << " dts for "
+                                  << windows.size() << " windows of " << k);
+  for (const std::int32_t id : windows.ids) {
+    NFV_CHECK(id >= 0 && static_cast<std::size_t>(id) < embedding_.vocab(),
+              "template id " << id << " outside vocab "
+                             << embedding_.vocab());
+  }
+}
+
 void SequenceModel::build_inputs(
-    const SeqExample* const* batch, std::size_t batch_size,
+    const WindowBatch& windows, std::size_t start, std::size_t n,
     std::vector<Matrix>& inputs,
     std::vector<std::vector<std::int32_t>>* ids_steps) const {
   const std::size_t k = config_.window;
@@ -81,23 +124,16 @@ void SequenceModel::build_inputs(
   if (ids_steps && ids_steps->size() != k) ids_steps->assign(k, {});
   for (std::size_t t = 0; t < k; ++t) {
     Matrix& input = inputs[t];
-    input.resize(batch_size, width);
-    if (ids_steps) (*ids_steps)[t].resize(batch_size);
-    for (std::size_t r = 0; r < batch_size; ++r) {
-      const SeqExample& ex = *batch[r];
-      NFV_CHECK(ex.ids.size() == k && ex.dts.size() == k,
-                "SeqExample window length " << ex.ids.size()
-                                            << " != model window " << k);
-      const auto id = ex.ids[t];
-      NFV_CHECK(id >= 0 &&
-                    static_cast<std::size_t>(id) < embedding_.vocab(),
-                "template id " << id << " outside vocab "
-                               << embedding_.vocab());
+    input.resize(n, width);
+    if (ids_steps) (*ids_steps)[t].resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t slot = (start + r) * k + t;
+      const auto id = windows.ids[slot];
       const float* row =
           embedding_.table().value.row(static_cast<std::size_t>(id));
       std::memcpy(input.row(r), row, config_.embed_dim * sizeof(float));
       if (config_.use_dt_feature) {
-        input.at(r, config_.embed_dim) = normalize_dt(ex.dts[t]);
+        input.at(r, config_.embed_dim) = normalize_dt(windows.dts[slot]);
       }
       if (ids_steps) (*ids_steps)[t][r] = id;
     }
@@ -110,9 +146,11 @@ double SequenceModel::forward_backward(
   const std::size_t batch_size = batch.size();
 
   // All scratch lives on the model and is reused batch after batch.
+  const WindowBatch windows = gather(batch, train_scratch_.windows);
+  check_windows(windows);
   std::vector<Matrix>& inputs = train_scratch_.inputs;
   std::vector<std::vector<std::int32_t>>& ids_steps = train_scratch_.ids;
-  build_inputs(batch.data(), batch_size, inputs, &ids_steps);
+  build_inputs(windows, 0, batch_size, inputs, &ids_steps);
 
   // Forward through the LSTM stack.
   const std::vector<Matrix>* hidden = &lstm_layers_[0].forward(inputs);
@@ -121,12 +159,9 @@ double SequenceModel::forward_backward(
   }
   const Matrix& logits = output_.forward(hidden->back());
 
-  train_scratch_.targets.resize(batch_size);
-  for (std::size_t r = 0; r < batch_size; ++r) {
-    train_scratch_.targets[r] = batch[r]->target;
-  }
-  const double loss = softmax_cross_entropy(logits, train_scratch_.targets,
-                                            train_scratch_.grad_logits);
+  const double loss =
+      softmax_cross_entropy(logits, train_scratch_.windows.targets,
+                            train_scratch_.grad_logits);
 
   // Backward: dense head, then the LSTM stack top-down.
   const Matrix& dh_last = output_.backward(train_scratch_.grad_logits);
@@ -184,43 +219,89 @@ double SequenceModel::train_batch(const std::vector<const SeqExample*>& batch,
   const double loss = forward_backward(batch);
   clip_gradients(params(), max_grad_norm);
   optimizer.step();
-  // The fp32 weights just moved; a stale int8 image would silently score
-  // the old model.
+  // The fp32 weights just moved; a stale int8 or fused image would
+  // silently score the old model.
   quantized_.reset();
+  fused_.reset();
   return loss;
 }
 
-void SequenceModel::pack_weights(std::size_t rows,
-                                 InferenceScratch& scratch) const {
+void SequenceModel::pack_weights(InferenceScratch& scratch) const {
   scratch.packed_lstm.resize(lstm_layers_.size());
-  // Below kTransbPackMinRows the GEMMs run row-at-a-time and read no
-  // panels; int8 mode multiplies by its own pre-packed sidecar.
-  const bool pack = !quantized_ && rows >= kTransbPackMinRows;
+  // int8 mode multiplies by its own pre-packed sidecar.
   for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
     scratch.packed_lstm[l].clear();
-    if (pack) lstm_layers_[l].pack_weight(scratch.packed_lstm[l]);
+    if (!quantized_) lstm_layers_[l].pack_weight(scratch.packed_lstm[l]);
   }
   scratch.packed_output.clear();
-  if (pack) pack_transb(output_.weight().value, scratch.packed_output);
+  if (!quantized_) pack_transb(output_.weight().value, scratch.packed_output);
 }
 
-void SequenceModel::forward_logits(const SeqExample* const* batch,
-                                   std::size_t batch_size,
+const FusedLstmImage* SequenceModel::fused_image(
+    InferenceScratch& scratch) const {
+  if (quantized_ || !fused_lstm_enabled() ||
+      config_.hidden % kFusedLanes != 0) {
+    return nullptr;
+  }
+  if (fused_) return &*fused_;
+  pack_fused_lstm(embedding_.table().value, lstm_layers_,
+                  config_.use_dt_feature, output_.weight().value,
+                  scratch.fused);
+  return &scratch.fused;
+}
+
+void SequenceModel::forward_logits(const WindowBatch& windows,
+                                   std::size_t start, std::size_t n,
+                                   const FusedLstmImage* image,
                                    InferenceScratch& scratch) const {
-  build_inputs(batch, batch_size, scratch.inputs, nullptr);
+  const std::size_t k = config_.window;
+  if (image) {
+    // Rows are independent, so blocks of them fan out over the pool as
+    // the stepped path's row-blocked GEMMs did, one fork per sub-batch.
+    constexpr std::size_t kRowBlock = 16;
+    Matrix& hidden = scratch.hidden;
+    hidden.resize(n, config_.hidden);
+    const auto rows = [&](std::size_t r0, std::size_t r1) {
+      fused_lstm_forward(*image, windows.ids.data() + (start + r0) * k,
+                         windows.dts.data() + (start + r0) * k, k, r1 - r0,
+                         hidden.row(r0));
+    };
+    std::size_t macs = 0;
+    for (const Lstm& lstm : lstm_layers_) {
+      macs += (lstm.input_size() + lstm.hidden_size()) * 4 * config_.hidden;
+    }
+    macs *= k * n;
+    nfv::util::ThreadPool& pool = nfv::util::global_pool();
+    if (n > kRowBlock && macs >= (1u << 19) &&
+        !nfv::util::ThreadPool::in_parallel_region() && pool.size() > 1) {
+      pool.parallel_for(0, (n + kRowBlock - 1) / kRowBlock,
+                        [&](std::size_t b) {
+                          rows(b * kRowBlock,
+                               std::min(n, (b + 1) * kRowBlock));
+                        });
+    } else {
+      rows(0, n);
+    }
+    matmul_transb_packed(hidden, output_.weight().value, image->output,
+                         scratch.logits);
+    add_row_vector(scratch.logits, output_.bias().value);
+    return;
+  }
+
+  build_inputs(windows, start, n, scratch.inputs, nullptr);
 
   // (Re)shape the recurrent state in place. Matrix::resize zero-fills,
   // which is exactly the initial state Lstm::make_state would provide,
   // while reusing the buffers' heap capacity across sub-batches.
   scratch.states.resize(lstm_layers_.size());
   for (LstmState& state : scratch.states) {
-    state.h.resize(batch_size, config_.hidden);
-    state.c.resize(batch_size, config_.hidden);
+    state.h.resize(n, config_.hidden);
+    state.c.resize(n, config_.hidden);
   }
 
   // Stateful stepping avoids touching the training caches, keeping
   // scoring const and cheap.
-  for (std::size_t t = 0; t < config_.window; ++t) {
+  for (std::size_t t = 0; t < k; ++t) {
     const Matrix* x = &scratch.inputs[t];
     for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
       if (quantized_) {
@@ -244,67 +325,84 @@ void SequenceModel::forward_logits(const SeqExample* const* batch,
   add_row_vector(scratch.logits, output_.bias().value);
 }
 
-void SequenceModel::target_log_likelihoods(const SeqExample* const* batch,
-                                           InferenceScratch& scratch,
-                                           double* out) const {
-  const std::size_t n = scratch.logits.rows();
-  scratch.targets.resize(n);
-  for (std::size_t r = 0; r < n; ++r) scratch.targets[r] = batch[r]->target;
-  log_softmax_targets(scratch.logits, scratch.targets, {out, n});
-}
-
 void SequenceModel::predict(const std::vector<const SeqExample*>& batch,
                             Matrix& probs) const {
   NFV_CHECK(!batch.empty(), "predict on empty batch");
   InferenceScratch scratch;
-  pack_weights(batch.size(), scratch);
-  forward_logits(batch.data(), batch.size(), scratch);
+  const WindowBatch windows = gather(batch, scratch.windows);
+  check_windows(windows);
+  pack_weights(scratch);
+  forward_logits(windows, 0, windows.size(), nullptr, scratch);
   softmax(scratch.logits, probs);
+}
+
+void SequenceModel::score_batched(const WindowBatch& windows,
+                                  std::size_t batch_size,
+                                  InferenceScratch& scratch,
+                                  std::span<double> out) const {
+  NFV_CHECK(batch_size >= 1, "score_batched requires batch_size >= 1");
+  NFV_CHECK(out.size() == windows.size(),
+            "score_batched output size " << out.size() << " != batch size "
+                                         << windows.size());
+  check_windows(windows);
+  if (windows.size() == 0) return;
+  const FusedLstmImage* image = fused_image(scratch);
+  if (!image) pack_weights(scratch);
+  for (std::size_t start = 0; start < windows.size(); start += batch_size) {
+    const std::size_t n = std::min(batch_size, windows.size() - start);
+    forward_logits(windows, start, n, image, scratch);
+    log_softmax_targets(scratch.logits, windows.targets.subspan(start, n),
+                        out.subspan(start, n));
+  }
 }
 
 void SequenceModel::score_batched(std::span<const SeqExample* const> batch,
                                   std::size_t batch_size,
                                   InferenceScratch& scratch,
                                   std::span<double> out) const {
-  NFV_CHECK(batch_size >= 1, "score_batched requires batch_size >= 1");
-  NFV_CHECK(out.size() == batch.size(),
-            "score_batched output size " << out.size() << " != batch size "
-                                         << batch.size());
-  pack_weights(std::min(batch_size, batch.size()), scratch);
-  for (std::size_t start = 0; start < batch.size(); start += batch_size) {
-    const std::size_t n = std::min(batch_size, batch.size() - start);
-    forward_logits(batch.data() + start, n, scratch);
-    target_log_likelihoods(batch.data() + start, scratch,
-                           out.data() + start);
+  score_batched(gather(batch, scratch.windows), batch_size, scratch, out);
+}
+
+void SequenceModel::score_ranks_batched(const WindowBatch& windows,
+                                        std::size_t batch_size,
+                                        InferenceScratch& scratch,
+                                        std::span<std::size_t> out) const {
+  NFV_CHECK(batch_size >= 1, "score_ranks_batched requires batch_size >= 1");
+  NFV_CHECK(out.size() == windows.size(),
+            "score_ranks_batched output size "
+                << out.size() << " != batch size " << windows.size());
+  check_windows(windows);
+  if (windows.size() == 0) return;
+  const FusedLstmImage* image = fused_image(scratch);
+  if (!image) pack_weights(scratch);
+  for (std::size_t start = 0; start < windows.size(); start += batch_size) {
+    const std::size_t n = std::min(batch_size, windows.size() - start);
+    forward_logits(windows, start, n, image, scratch);
+    softmax(scratch.logits, scratch.probs);
+    for (std::size_t r = 0; r < n; ++r) {
+      out[start + r] =
+          target_rank(scratch.probs, r, windows.targets[start + r]);
+    }
   }
 }
 
 void SequenceModel::score_ranks_batched(
     std::span<const SeqExample* const> batch, std::size_t batch_size,
     InferenceScratch& scratch, std::span<std::size_t> out) const {
-  NFV_CHECK(batch_size >= 1, "score_ranks_batched requires batch_size >= 1");
-  NFV_CHECK(out.size() == batch.size(),
-            "score_ranks_batched output size "
-                << out.size() << " != batch size " << batch.size());
-  pack_weights(std::min(batch_size, batch.size()), scratch);
-  for (std::size_t start = 0; start < batch.size(); start += batch_size) {
-    const std::size_t n = std::min(batch_size, batch.size() - start);
-    forward_logits(batch.data() + start, n, scratch);
-    softmax(scratch.logits, scratch.probs);
-    for (std::size_t r = 0; r < n; ++r) {
-      out[start + r] = target_rank(scratch.probs, r, batch[start + r]->target);
-    }
-  }
+  score_ranks_batched(gather(batch, scratch.windows), batch_size, scratch,
+                      out);
 }
 
 std::vector<double> SequenceModel::score_log_likelihood(
     const std::vector<const SeqExample*>& batch) const {
   NFV_CHECK(!batch.empty(), "score_log_likelihood on empty batch");
   InferenceScratch scratch;
-  pack_weights(batch.size(), scratch);
-  forward_logits(batch.data(), batch.size(), scratch);
+  const WindowBatch windows = gather(batch, scratch.windows);
+  check_windows(windows);
+  pack_weights(scratch);
+  forward_logits(windows, 0, windows.size(), nullptr, scratch);
   std::vector<double> out(batch.size());
-  target_log_likelihoods(batch.data(), scratch, out.data());
+  log_softmax_targets(scratch.logits, windows.targets, out);
   return out;
 }
 
@@ -354,6 +452,7 @@ void SequenceModel::grow_vocab(std::size_t new_vocab, nfv::util::Rng& rng) {
   b.grad.resize(1, new_vocab);
   config_.vocab = new_vocab;
   quantized_.reset();
+  fused_.reset();
 }
 
 std::size_t SequenceModel::QuantizedWeights::weight_bytes() const {
@@ -370,12 +469,27 @@ void SequenceModel::quantize() {
   }
   quantize_pack_b(output_.weight().value, qw.output);
   quantized_ = std::move(qw);
+  fused_.reset();  // int8 scoring never reads it
+}
+
+void SequenceModel::clear_quantized() {
+  quantized_.reset();
+  pack_fused();
+}
+
+void SequenceModel::pack_fused() {
+  fused_.reset();
+  if (quantized_ || !fused_lstm_cpu() || config_.hidden % kFusedLanes != 0) {
+    return;
+  }
+  fused_.emplace();
+  pack_fused_lstm(embedding_.table().value, lstm_layers_,
+                  config_.use_dt_feature, output_.weight().value, *fused_);
 }
 
 std::size_t SequenceModel::fp32_weight_bytes() const {
-  auto* self = const_cast<SequenceModel*>(this);
   std::size_t total = 0;
-  for (Param* p : self->params()) total += p->value.size() * sizeof(float);
+  for (const Param* p : params()) total += p->value.size() * sizeof(float);
   return total;
 }
 
@@ -391,8 +505,7 @@ void SequenceModel::save(std::ostream& os) const {
   write_u64(os, config_.layers);
   write_u64(os, config_.window);
   write_u64(os, config_.use_dt_feature ? 1 : 0);
-  auto* self = const_cast<SequenceModel*>(this);
-  for (Param* p : self->params()) write_matrix(os, p->value);
+  for (const Param* p : params()) write_matrix(os, p->value);
   // Trailing quantized sidecar: the calibration (scales, packed panels,
   // column sums) is persisted byte for byte so a loaded quantized model
   // scores identically to the one that was saved.
@@ -437,6 +550,7 @@ SequenceModel SequenceModel::load(std::istream& is) {
               "saved quantized output head shape mismatch");
     model.quantized_ = std::move(qw);
   }
+  model.pack_fused();
   return model;
 }
 

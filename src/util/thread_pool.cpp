@@ -138,7 +138,9 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
 void ThreadPool::run_job(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t)>& fn,
                          std::size_t chunk) {
-  NFV_CHECK(!tl_in_parallel_region,
+  // A size-1 pool runs inline and cannot deadlock, so it may run inside a
+  // region (a serial run_pipeline holds one around its own pool).
+  NFV_CHECK(threads_ == 1 || !tl_in_parallel_region,
             "nested parallel_for: already inside a parallel region");
   if (end <= begin) return;
   const std::size_t n = end - begin;

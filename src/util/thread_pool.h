@@ -12,7 +12,8 @@
 //    rethrown on the calling thread — the same exception the serial loop
 //    would have surfaced first.
 //  - Nesting is rejected. A parallel_for issued from inside a running
-//    parallel region throws CheckError instead of deadlocking; kernels
+//    parallel region throws CheckError instead of deadlocking (a size-1
+//    pool, which runs inline, is exempt); kernels
 //    that may be reached from inside tasks (e.g. nfv::ml::matmul) consult
 //    in_parallel_region() and fall back to their serial path.
 #pragma once
@@ -47,7 +48,8 @@ class ThreadPool {
   /// Run fn(i) exactly once for every i in [begin, end), blocking until
   /// all indices completed. Deterministic given slot-addressed outputs
   /// (fn(i) must only write state owned by index i). Throws CheckError if
-  /// called from inside a running parallel region.
+  /// called from inside a running parallel region, unless this pool has
+  /// one thread (it runs inline, so nesting it cannot deadlock).
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "util/check.h"
+#include "util/thread_pool.h"
 
+#include <atomic>
+#include <memory>
 #include <set>
 
 namespace nfv::core {
@@ -100,6 +103,64 @@ TEST_F(PipelineFixture, TicketsInWindowIntersectsCorrectly) {
               nfv::util::month_start(2).seconds);
     EXPECT_GE(t.repair_finish.seconds, nfv::util::month_start(1).seconds);
   }
+}
+
+/// Detector double: scores every log 0 and records, on every call,
+/// whether the ml kernels underneath would take their serial path.
+class RegionProbe final : public AnomalyDetector {
+ public:
+  struct Calls {
+    std::atomic<int> serial{0};
+    std::atomic<int> fanned_out{0};
+  };
+  explicit RegionProbe(std::shared_ptr<Calls> calls)
+      : calls_(std::move(calls)) {}
+
+  void fit(std::span<const LogView>, std::size_t) override {
+    record();
+    trained_ = true;
+  }
+  void update(std::span<const LogView>, std::size_t) override { record(); }
+  void adapt(std::span<const LogView>, std::size_t) override { record(); }
+  std::vector<ScoredEvent> score(LogView logs, std::size_t) const override {
+    record();
+    std::vector<ScoredEvent> out;
+    for (const auto& log : logs) out.push_back({log.time, 0.0});
+    return out;
+  }
+  std::unique_ptr<AnomalyDetector> clone() const override {
+    return std::make_unique<RegionProbe>(*this);
+  }
+  bool trained() const override { return trained_; }
+  DetectorKind kind() const override { return DetectorKind::kLstm; }
+  EventGranularity granularity() const override {
+    return EventGranularity::kPerLog;
+  }
+
+ private:
+  void record() const {
+    ++(nfv::util::ThreadPool::in_parallel_region() ? calls_->serial
+                                                   : calls_->fanned_out);
+  }
+  std::shared_ptr<Calls> calls_;
+  bool trained_ = false;
+};
+
+// threads = 1 is serial all the way down: fit, update, adapt and scoring
+// all run where ml kernels take their serial path, not the global pool.
+TEST_F(PipelineFixture, SerialRunKeepsKernelsOnTheCallingThread) {
+  nfv::util::set_global_threads(4);
+  auto calls = std::make_shared<RegionProbe::Calls>();
+  PipelineOptions options;
+  options.clustering.fixed_k = 2;
+  options.threads = 1;
+  run_pipeline(trace(), parsed(), options, [&calls](std::uint64_t) {
+    return std::make_unique<RegionProbe>(calls);
+  });
+  nfv::util::set_global_threads(0);
+  EXPECT_GT(calls->serial.load(), 0);
+  EXPECT_EQ(calls->fanned_out.load(), 0);
+  EXPECT_FALSE(nfv::util::ThreadPool::in_parallel_region());
 }
 
 TEST_F(PipelineFixture, RejectsBadTrainMonths) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -363,6 +364,72 @@ TEST(LogSoftmaxTarget, MatchesLogOfSoftmaxAndClampsAtMinProb) {
     EXPECT_NEAR(log_softmax_target(far, 0, 3), 0.0, 1e-6);
     EXPECT_THROW(log_softmax_target(far, 0, 20), nfv::util::CheckError);
     EXPECT_THROW(log_softmax_target(far, 0, -1), nfv::util::CheckError);
+  });
+}
+
+// The row max runs 8 lanes at a time in the AVX2+FMA mode, a ragged tail
+// re-read as the row's last 8 columns. A max missed in the tail would
+// shift by the wrong logit: 100 nats past exp's clamp, the result moves
+// by ~12 nats instead of rounding.
+TEST(LogSoftmaxTarget, MaxInTheTailAndTiesAndScalarFormulaBits) {
+  for_each_kernel_mode([](bool simd) {
+    for (const std::size_t cols : {std::size_t{3}, std::size_t{8},
+                                   std::size_t{13}, std::size_t{84},
+                                   std::size_t{133}}) {
+      // Max in the last column (the tail whenever cols % 8 != 0).
+      Matrix tail(1, cols, 0.0f);
+      tail.at(0, cols - 1) = 100.0f;
+      EXPECT_NEAR(log_softmax_target(tail, 0,
+                                     static_cast<std::int32_t>(cols - 1)),
+                  0.0, 1e-6)
+          << "simd=" << simd << " cols=" << cols;
+      EXPECT_EQ(log_softmax_target(tail, 0, 0), std::log(1e-12));
+
+      // Ties: a flat row, and two equal maxima with one in the tail.
+      const Matrix flat(1, cols, -3.5f);
+      EXPECT_NEAR(log_softmax_target(flat, 0, 0),
+                  -std::log(static_cast<double>(cols)), 1e-6);
+      Matrix tie(1, cols, -20.0f);
+      tie.at(0, 0) = 7.0f;
+      tie.at(0, cols - 1) = 7.0f;
+      if (cols > 1) {
+        EXPECT_EQ(log_softmax_target(tie, 0, 0),
+                  log_softmax_target(tie, 0,
+                                     static_cast<std::int32_t>(cols - 1)));
+        EXPECT_NEAR(log_softmax_target(tie, 0, 0), -std::log(2.0), 1e-6);
+      }
+
+      // Without SIMD the result is the scalar formula, bit for bit.
+      if (!simd) {
+        Rng rng(cols);
+        Matrix logits(4, cols);
+        for (std::size_t i = 0; i < logits.size(); ++i) {
+          logits.data()[i] = static_cast<float>(rng.uniform(-8.0, 8.0));
+        }
+        for (std::size_t r = 0; r < logits.rows(); ++r) {
+          const float* l = logits.row(r);
+          const float m = *std::max_element(l, l + cols);
+          float total = 0.0f;
+          for (std::size_t c = 0; c < cols; ++c) total += std::exp(l[c] - m);
+          const std::size_t t = r % cols;
+          const double expected =
+              std::max(static_cast<double>(l[t] - m) -
+                           std::log(static_cast<double>(total)),
+                       std::log(1e-12));
+          const double got =
+              log_softmax_target(logits, r, static_cast<std::int32_t>(t));
+          EXPECT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
+              << "cols=" << cols << " row " << r;
+        }
+      }
+    }
+    // Targets are checked up front, before any row is written.
+    Matrix logits(2, 5, 0.0f);
+    std::vector<std::int32_t> targets = {1, 5};
+    std::vector<double> out(2, 42.0);
+    EXPECT_THROW(log_softmax_targets(logits, targets, out),
+                 nfv::util::CheckError);
+    EXPECT_EQ(out[0], 42.0);
   });
 }
 

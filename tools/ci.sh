@@ -22,7 +22,8 @@
 # invariance, fused vs serial reference, step vs training forward, and
 # the pipeline's per-stream schedule against its serial run) with
 # NFVPRED_NO_AVX2=1, the mode a CPU without AVX2+FMA runs. The ASan leg
-# also covers scoring across decades-long gaps between log lines.
+# also covers scoring across decades-long gaps between log lines and the
+# fused AVX-512F LSTM kernel's partial row tiles.
 #
 # Usage: tools/ci.sh [jobs]
 set -euo pipefail
@@ -66,13 +67,14 @@ echo "=== baseline kernels: scoring contracts with NFVPRED_NO_AVX2=1 ==="
 NFVPRED_NO_AVX2=1 ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS" \
   -R 'BatchInvariance|BatchPlanner|SequenceModel|LstmStep|LogSoftmaxTarget|MatmulTransBPacked|PipelineDeterminism'
 
-echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook) + int8 kernels + scoring gaps ==="
+echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook) + int8 kernels + scoring gaps + fused LSTM tiles ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DNFVPRED_SANITIZE=address
-cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_quant --target test_score_gap
+cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_quant --target test_score_gap --target test_fused_lstm
 "$ROOT/build-asan/tests/test_logproc"
 "$ROOT/build-asan/tests/test_logproc_alloc"
 "$ROOT/build-asan/tests/test_quant"
 "$ROOT/build-asan/tests/test_score_gap"
+"$ROOT/build-asan/tests/test_fused_lstm"
 
 echo "=== continual learning: online retrain + hot swap + adapt safety ==="
 ctest --test-dir "$ROOT/build" -L continual --output-on-failure -j "$JOBS"
